@@ -2,7 +2,10 @@
 
 #include <bit>
 #include <cstring>
-#include <vector>
+
+#ifdef PPRL_HAVE_SHA_NI_KERNEL
+#include <immintrin.h>
+#endif
 
 #include "common/random.h"
 
@@ -13,21 +16,6 @@ namespace {
 uint32_t RotL32(uint32_t x, int n) { return std::rotl(x, n); }
 uint32_t RotR32(uint32_t x, int n) { return std::rotr(x, n); }
 
-/// Appends the 0x80 byte, zero padding, and the 64-bit message-length field
-/// shared by the MD5/SHA-1/SHA-256 Merkle-Damgard constructions.
-std::vector<uint8_t> PadMessage(std::string_view data, bool big_endian_length) {
-  std::vector<uint8_t> msg(data.begin(), data.end());
-  const uint64_t bit_len = static_cast<uint64_t>(data.size()) * 8;
-  msg.push_back(0x80);
-  while (msg.size() % 64 != 56) msg.push_back(0);
-  if (big_endian_length) {
-    for (int i = 7; i >= 0; --i) msg.push_back(static_cast<uint8_t>(bit_len >> (8 * i)));
-  } else {
-    for (int i = 0; i < 8; ++i) msg.push_back(static_cast<uint8_t>(bit_len >> (8 * i)));
-  }
-  return msg;
-}
-
 uint32_t LoadLe32(const uint8_t* p) {
   return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
          (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
@@ -36,6 +24,52 @@ uint32_t LoadLe32(const uint8_t* p) {
 uint32_t LoadBe32(const uint8_t* p) {
   return (static_cast<uint32_t>(p[0]) << 24) | (static_cast<uint32_t>(p[1]) << 16) |
          (static_cast<uint32_t>(p[2]) << 8) | static_cast<uint32_t>(p[3]);
+}
+
+/// Whole-word stores (byte-by-byte ones get vectorised into long shuffle
+/// chains that cost more than the compression they feed).
+template <typename T>
+void StoreBe(uint8_t* p, T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if constexpr (sizeof(T) == 4) v = __builtin_bswap32(v);
+    if constexpr (sizeof(T) == 8) v = __builtin_bswap64(v);
+  }
+  std::memcpy(p, &v, sizeof(v));
+}
+
+template <typename T>
+void StoreLe(uint8_t* p, T v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    if constexpr (sizeof(T) == 4) v = __builtin_bswap32(v);
+    if constexpr (sizeof(T) == 8) v = __builtin_bswap64(v);
+  }
+  std::memcpy(p, &v, sizeof(v));
+}
+
+/// Finishes a Merkle-Damgard hash (MD5, SHA-1, SHA-256): runs `compress`
+/// over the full 64-byte blocks of `data` in place, then over the padded
+/// tail (0x80, zeros, 64-bit bit length) built in a stack block — one block
+/// when fewer than 56 bytes remain, two otherwise. `prefix_bytes` counts
+/// bytes already compressed into the state (an HMAC key block) so the length
+/// field covers the whole message. MD5 stores the length little-endian,
+/// SHA-1/SHA-256 big-endian.
+template <bool kBigEndianLength, typename Compress>
+void AbsorbPadded(std::string_view data, uint64_t prefix_bytes, Compress compress) {
+  const auto* bytes = reinterpret_cast<const uint8_t*>(data.data());
+  const size_t full = data.size() / 64;
+  const size_t rest = data.size() % 64;
+  if (full > 0) compress(bytes, full);
+  alignas(16) uint8_t tail[128] = {};
+  if (rest > 0) std::memcpy(tail, bytes + 64 * full, rest);
+  tail[rest] = 0x80;
+  const size_t tail_len = rest < 56 ? 64 : 128;
+  const uint64_t bit_len = (prefix_bytes + data.size()) * 8;
+  if constexpr (kBigEndianLength) {
+    StoreBe(tail + tail_len - 8, bit_len);
+  } else {
+    StoreLe(tail + tail_len - 8, bit_len);
+  }
+  compress(tail, tail_len / 64);
 }
 
 constexpr uint32_t kMd5K[64] = {
@@ -55,7 +89,7 @@ constexpr int kMd5Shift[64] = {7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 1
                                4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
                                6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21};
 
-constexpr uint32_t kSha256K[64] = {
+alignas(16) constexpr uint32_t kSha256K[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
     0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
     0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
@@ -67,121 +101,137 @@ constexpr uint32_t kSha256K[64] = {
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
     0xc67178f2};
 
+constexpr std::array<uint32_t, 8> kSha256Init = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                                 0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                                 0x1f83d9ab, 0x5be0cd19};
+
+/// One MD5 step; `F` is the round function of the step's quarter.
+template <typename F>
+inline void Md5Step(uint32_t& a, uint32_t& b, uint32_t& c, uint32_t& d, uint32_t m,
+                    int i, F f) {
+  const uint32_t t = f(b, c, d) + a + kMd5K[i] + m;
+  a = d;
+  d = c;
+  c = b;
+  b = b + RotL32(t, kMd5Shift[i]);
+}
+
+/// The four quarters run as separate branch-free loops, which the compiler
+/// unrolls with constant shifts and message indexes.
+void Md5Compress(uint32_t state[4], const uint8_t* blocks, size_t num_blocks) {
+  for (; num_blocks > 0; --num_blocks, blocks += 64) {
+    uint32_t m[16];
+    for (int i = 0; i < 16; ++i) m[i] = LoadLe32(blocks + 4 * i);
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    for (int i = 0; i < 16; ++i) {
+      Md5Step(a, b, c, d, m[i], i,
+              [](uint32_t x, uint32_t y, uint32_t z) { return (x & y) | (~x & z); });
+    }
+    for (int i = 16; i < 32; ++i) {
+      Md5Step(a, b, c, d, m[(5 * i + 1) % 16], i,
+              [](uint32_t x, uint32_t y, uint32_t z) { return (z & x) | (~z & y); });
+    }
+    for (int i = 32; i < 48; ++i) {
+      Md5Step(a, b, c, d, m[(3 * i + 5) % 16], i,
+              [](uint32_t x, uint32_t y, uint32_t z) { return x ^ y ^ z; });
+    }
+    for (int i = 48; i < 64; ++i) {
+      Md5Step(a, b, c, d, m[(7 * i) % 16], i,
+              [](uint32_t x, uint32_t y, uint32_t z) { return y ^ (x | ~z); });
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+  }
+}
+
+/// One SHA-1 round; `F` is the round function of the round's quarter.
+template <typename F>
+inline void Sha1Step(uint32_t& a, uint32_t& b, uint32_t& c, uint32_t& d, uint32_t& e,
+                     uint32_t w, uint32_t k, F f) {
+  const uint32_t temp = RotL32(a, 5) + f(b, c, d) + e + k + w;
+  e = d;
+  d = c;
+  c = RotL32(b, 30);
+  b = a;
+  a = temp;
+}
+
+/// Same shape as Md5Compress; GCC needs the unroll hints to fold the ring
+/// indexes and round constants here.
+void Sha1Compress(uint32_t state[5], const uint8_t* blocks, size_t num_blocks) {
+  for (; num_blocks > 0; --num_blocks, blocks += 64) {
+    // The message schedule lives in a 16-word ring: W[i] for i >= 16 is
+    // computed in place of W[i - 16], just before round i uses it.
+    uint32_t w[16];
+    for (int i = 0; i < 16; ++i) w[i] = LoadBe32(blocks + 4 * i);
+    auto schedule = [&w](int i) {
+      if (i >= 16) {
+        w[i & 15] =
+            RotL32(w[(i - 3) & 15] ^ w[(i - 8) & 15] ^ w[(i - 14) & 15] ^ w[i & 15], 1);
+      }
+      return w[i & 15];
+    };
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3], e = state[4];
+#pragma GCC unroll 20
+    for (int i = 0; i < 20; ++i) {
+      Sha1Step(a, b, c, d, e, schedule(i), 0x5a827999,
+               [](uint32_t x, uint32_t y, uint32_t z) { return (x & y) | (~x & z); });
+    }
+#pragma GCC unroll 20
+    for (int i = 20; i < 40; ++i) {
+      Sha1Step(a, b, c, d, e, schedule(i), 0x6ed9eba1,
+               [](uint32_t x, uint32_t y, uint32_t z) { return x ^ y ^ z; });
+    }
+#pragma GCC unroll 20
+    for (int i = 40; i < 60; ++i) {
+      Sha1Step(a, b, c, d, e, schedule(i), 0x8f1bbcdc,
+               [](uint32_t x, uint32_t y, uint32_t z) {
+                 return (x & y) | (x & z) | (y & z);
+               });
+    }
+#pragma GCC unroll 20
+    for (int i = 60; i < 80; ++i) {
+      Sha1Step(a, b, c, d, e, schedule(i), 0xca62c1d6,
+               [](uint32_t x, uint32_t y, uint32_t z) { return x ^ y ^ z; });
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+  }
+}
+
+/// Big-endian digest bytes of a SHA-256 state.
+std::array<uint8_t, 32> Sha256Digest(const std::array<uint32_t, 8>& state) {
+  std::array<uint8_t, 32> digest;
+  for (size_t r = 0; r < 8; ++r) StoreBe(&digest[4 * r], state[r]);
+  return digest;
+}
+
 }  // namespace
 
-std::array<uint8_t, 16> Md5(std::string_view data) {
-  uint32_t a0 = 0x67452301, b0 = 0xefcdab89, c0 = 0x98badcfe, d0 = 0x10325476;
-  const std::vector<uint8_t> msg = PadMessage(data, /*big_endian_length=*/false);
-  for (size_t chunk = 0; chunk < msg.size(); chunk += 64) {
-    uint32_t m[16];
-    for (int i = 0; i < 16; ++i) m[i] = LoadLe32(&msg[chunk + 4 * static_cast<size_t>(i)]);
-    uint32_t a = a0, b = b0, c = c0, d = d0;
-    for (int i = 0; i < 64; ++i) {
-      uint32_t f;
-      int g;
-      if (i < 16) {
-        f = (b & c) | (~b & d);
-        g = i;
-      } else if (i < 32) {
-        f = (d & b) | (~d & c);
-        g = (5 * i + 1) % 16;
-      } else if (i < 48) {
-        f = b ^ c ^ d;
-        g = (3 * i + 5) % 16;
-      } else {
-        f = c ^ (b | ~d);
-        g = (7 * i) % 16;
-      }
-      f = f + a + kMd5K[i] + m[g];
-      a = d;
-      d = c;
-      c = b;
-      b = b + RotL32(f, kMd5Shift[i]);
-    }
-    a0 += a;
-    b0 += b;
-    c0 += c;
-    d0 += d;
-  }
-  std::array<uint8_t, 16> digest;
-  const uint32_t regs[4] = {a0, b0, c0, d0};
-  for (int r = 0; r < 4; ++r) {
-    for (int i = 0; i < 4; ++i) {
-      digest[static_cast<size_t>(4 * r + i)] = static_cast<uint8_t>(regs[r] >> (8 * i));
-    }
-  }
-  return digest;
-}
-
-std::array<uint8_t, 20> Sha1(std::string_view data) {
-  uint32_t h[5] = {0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0};
-  const std::vector<uint8_t> msg = PadMessage(data, /*big_endian_length=*/true);
-  for (size_t chunk = 0; chunk < msg.size(); chunk += 64) {
-    uint32_t w[80];
-    for (int i = 0; i < 16; ++i) w[i] = LoadBe32(&msg[chunk + 4 * static_cast<size_t>(i)]);
-    for (int i = 16; i < 80; ++i) {
-      w[i] = RotL32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-    }
-    uint32_t a = h[0], b = h[1], c = h[2], d = h[3], e = h[4];
-    for (int i = 0; i < 80; ++i) {
-      uint32_t f, k;
-      if (i < 20) {
-        f = (b & c) | (~b & d);
-        k = 0x5a827999;
-      } else if (i < 40) {
-        f = b ^ c ^ d;
-        k = 0x6ed9eba1;
-      } else if (i < 60) {
-        f = (b & c) | (b & d) | (c & d);
-        k = 0x8f1bbcdc;
-      } else {
-        f = b ^ c ^ d;
-        k = 0xca62c1d6;
-      }
-      const uint32_t temp = RotL32(a, 5) + f + e + k + w[i];
-      e = d;
-      d = c;
-      c = RotL32(b, 30);
-      b = a;
-      a = temp;
-    }
-    h[0] += a;
-    h[1] += b;
-    h[2] += c;
-    h[3] += d;
-    h[4] += e;
-  }
-  std::array<uint8_t, 20> digest;
-  for (int r = 0; r < 5; ++r) {
-    for (int i = 0; i < 4; ++i) {
-      digest[static_cast<size_t>(4 * r + i)] = static_cast<uint8_t>(h[r] >> (8 * (3 - i)));
-    }
-  }
-  return digest;
-}
-
-std::array<uint8_t, 32> Sha256(std::string_view data) {
-  uint32_t h[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-                   0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-  const std::vector<uint8_t> msg = PadMessage(data, /*big_endian_length=*/true);
-  for (size_t chunk = 0; chunk < msg.size(); chunk += 64) {
+void Sha256CompressScalar(uint32_t state[8], const uint8_t* blocks, size_t num_blocks) {
+  for (; num_blocks > 0; --num_blocks, blocks += 64) {
     uint32_t w[64];
-    for (int i = 0; i < 16; ++i) w[i] = LoadBe32(&msg[chunk + 4 * static_cast<size_t>(i)]);
+    for (int i = 0; i < 16; ++i) w[i] = LoadBe32(blocks + 4 * i);
     for (int i = 16; i < 64; ++i) {
       const uint32_t s0 = RotR32(w[i - 15], 7) ^ RotR32(w[i - 15], 18) ^ (w[i - 15] >> 3);
       const uint32_t s1 = RotR32(w[i - 2], 17) ^ RotR32(w[i - 2], 19) ^ (w[i - 2] >> 10);
       w[i] = w[i - 16] + s0 + w[i - 7] + s1;
     }
-    uint32_t a = h[0], b = h[1], c = h[2], d = h[3];
-    uint32_t e = h[4], f = h[5], g = h[6], hh = h[7];
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
     for (int i = 0; i < 64; ++i) {
       const uint32_t s1 = RotR32(e, 6) ^ RotR32(e, 11) ^ RotR32(e, 25);
       const uint32_t ch = (e & f) ^ (~e & g);
-      const uint32_t temp1 = hh + s1 + ch + kSha256K[i] + w[i];
+      const uint32_t temp1 = h + s1 + ch + kSha256K[i] + w[i];
       const uint32_t s0 = RotR32(a, 2) ^ RotR32(a, 13) ^ RotR32(a, 22);
       const uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
       const uint32_t temp2 = s0 + maj;
-      hh = g;
+      h = g;
       g = f;
       f = e;
       e = d + temp1;
@@ -190,43 +240,148 @@ std::array<uint8_t, 32> Sha256(std::string_view data) {
       b = a;
       a = temp1 + temp2;
     }
-    h[0] += a;
-    h[1] += b;
-    h[2] += c;
-    h[3] += d;
-    h[4] += e;
-    h[5] += f;
-    h[6] += g;
-    h[7] += hh;
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
   }
-  std::array<uint8_t, 32> digest;
-  for (int r = 0; r < 8; ++r) {
-    for (int i = 0; i < 4; ++i) {
-      digest[static_cast<size_t>(4 * r + i)] = static_cast<uint8_t>(h[r] >> (8 * (3 - i)));
+}
+
+#ifdef PPRL_HAVE_SHA_NI_KERNEL
+/// SHA-NI kernel: sha256rnds2 runs two rounds per instruction on the state
+/// held as ABEF/CDGH halves, and sha256msg1/msg2 extend the message schedule
+/// four words at a time. Each of the 16 groups below is four rounds; the
+/// unrolled loop keeps the four schedule registers in `msg` rotating.
+__attribute__((target("sha,sse4.1"))) void Sha256CompressShaNi(uint32_t state[8],
+                                                              const uint8_t* blocks,
+                                                              size_t num_blocks) {
+  const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bll, 0x0405060700010203ll);
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  __m128i state1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);                  // CDAB
+  state1 = _mm_shuffle_epi32(state1, 0x1B);            // EFGH
+  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);    // ABEF
+  state1 = _mm_blend_epi16(state1, tmp, 0xF0);         // CDGH
+  for (; num_blocks > 0; --num_blocks, blocks += 64) {
+    const __m128i abef = state0;
+    const __m128i cdgh = state1;
+    __m128i msg[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i& cur = msg[g & 3];
+      if (g < 4) {
+        const auto* words = reinterpret_cast<const __m128i*>(blocks + 16 * g);
+        cur = _mm_shuffle_epi8(_mm_loadu_si128(words), byte_swap);
+      }
+      __m128i wk = _mm_add_epi32(
+          cur, _mm_load_si128(reinterpret_cast<const __m128i*>(&kSha256K[4 * g])));
+      state1 = _mm_sha256rnds2_epu32(state1, state0, wk);
+      if (g >= 3 && g <= 14) {  // finish the schedule words of group g + 1
+        __m128i& next = msg[(g + 1) & 3];
+        next = _mm_add_epi32(next, _mm_alignr_epi8(cur, msg[(g + 3) & 3], 4));
+        next = _mm_sha256msg2_epu32(next, cur);
+      }
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      state0 = _mm_sha256rnds2_epu32(state0, state1, wk);
+      if (g >= 1 && g <= 12) {  // start the schedule words of group g + 3
+        __m128i& prev = msg[(g + 3) & 3];
+        prev = _mm_sha256msg1_epu32(prev, cur);
+      }
     }
+    state0 = _mm_add_epi32(state0, abef);
+    state1 = _mm_add_epi32(state1, cdgh);
   }
+  tmp = _mm_shuffle_epi32(state0, 0x1B);        // FEBA
+  state1 = _mm_shuffle_epi32(state1, 0xB1);     // DCHG
+  state0 = _mm_blend_epi16(tmp, state1, 0xF0);  // DCBA
+  state1 = _mm_alignr_epi8(state1, tmp, 8);     // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), state0);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), state1);
+}
+#endif
+
+bool ShaNiAvailable() {
+#ifdef PPRL_HAVE_SHA_NI_KERNEL
+  static const bool have =
+      __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+  return have;
+#else
+  return false;
+#endif
+}
+
+void Sha256Compress(uint32_t state[8], const uint8_t* blocks, size_t num_blocks) {
+#ifdef PPRL_HAVE_SHA_NI_KERNEL
+  static const auto kernel =
+      ShaNiAvailable() ? Sha256CompressShaNi : Sha256CompressScalar;
+  kernel(state, blocks, num_blocks);
+#else
+  Sha256CompressScalar(state, blocks, num_blocks);
+#endif
+}
+
+std::array<uint8_t, 16> Md5(std::string_view data) {
+  uint32_t state[4] = {0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476};
+  AbsorbPadded</*kBigEndianLength=*/false>(
+      data, 0, [&](const uint8_t* blocks, size_t n) { Md5Compress(state, blocks, n); });
+  std::array<uint8_t, 16> digest;
+  for (size_t r = 0; r < 4; ++r) StoreLe(&digest[4 * r], state[r]);
   return digest;
 }
 
-std::array<uint8_t, 32> HmacSha256(std::string_view key, std::string_view data) {
+std::array<uint8_t, 20> Sha1(std::string_view data) {
+  uint32_t state[5] = {0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0};
+  AbsorbPadded</*kBigEndianLength=*/true>(
+      data, 0, [&](const uint8_t* blocks, size_t n) { Sha1Compress(state, blocks, n); });
+  std::array<uint8_t, 20> digest;
+  for (size_t r = 0; r < 5; ++r) StoreBe(&digest[4 * r], state[r]);
+  return digest;
+}
+
+std::array<uint8_t, 32> Sha256(std::string_view data) {
+  std::array<uint32_t, 8> state = kSha256Init;
+  AbsorbPadded</*kBigEndianLength=*/true>(
+      data, 0,
+      [&](const uint8_t* blocks, size_t n) { Sha256Compress(state.data(), blocks, n); });
+  return Sha256Digest(state);
+}
+
+HmacSha256Key::HmacSha256Key(std::string_view key) {
   constexpr size_t kBlockSize = 64;
-  std::array<uint8_t, kBlockSize> key_block{};
+  uint8_t key_block[kBlockSize] = {};
   if (key.size() > kBlockSize) {
     const auto hashed = Sha256(key);
-    std::memcpy(key_block.data(), hashed.data(), hashed.size());
-  } else {
-    std::memcpy(key_block.data(), key.data(), key.size());
+    std::memcpy(key_block, hashed.data(), hashed.size());
+  } else if (!key.empty()) {
+    std::memcpy(key_block, key.data(), key.size());
   }
-  std::string inner;
-  inner.reserve(kBlockSize + data.size());
-  for (uint8_t b : key_block) inner += static_cast<char>(b ^ 0x36);
-  inner.append(data);
-  const auto inner_digest = Sha256(inner);
-  std::string outer;
-  outer.reserve(kBlockSize + inner_digest.size());
-  for (uint8_t b : key_block) outer += static_cast<char>(b ^ 0x5c);
-  outer.append(reinterpret_cast<const char*>(inner_digest.data()), inner_digest.size());
-  return Sha256(outer);
+  uint8_t pad[kBlockSize];
+  for (size_t i = 0; i < kBlockSize; ++i) pad[i] = key_block[i] ^ 0x36;
+  inner_ = kSha256Init;
+  Sha256Compress(inner_.data(), pad, 1);
+  for (size_t i = 0; i < kBlockSize; ++i) pad[i] = key_block[i] ^ 0x5c;
+  outer_ = kSha256Init;
+  Sha256Compress(outer_.data(), pad, 1);
+}
+
+std::array<uint8_t, 32> HmacSha256Key::Mac(std::string_view data) const {
+  std::array<uint32_t, 8> inner = inner_;
+  AbsorbPadded</*kBigEndianLength=*/true>(
+      data, /*prefix_bytes=*/64,
+      [&](const uint8_t* blocks, size_t n) { Sha256Compress(inner.data(), blocks, n); });
+  // The outer message is the 64-byte opad block (already in outer_) plus the
+  // 32-byte inner digest: one padded block of bit length 768.
+  alignas(16) uint8_t block[64] = {};
+  for (size_t r = 0; r < 8; ++r) StoreBe(&block[4 * r], inner[r]);
+  block[32] = 0x80;
+  block[62] = 0x03;  // 768 = 0x0300
+  std::array<uint32_t, 8> outer = outer_;
+  Sha256Compress(outer.data(), block, 1);
+  return Sha256Digest(outer);
 }
 
 TabulationHash::TabulationHash(uint64_t seed) {

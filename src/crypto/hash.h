@@ -2,6 +2,7 @@
 #define PPRL_CRYPTO_HASH_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -18,9 +19,46 @@ std::array<uint8_t, 20> Sha1(std::string_view data);
 /// SHA-256 digest (32 bytes).
 std::array<uint8_t, 32> Sha256(std::string_view data);
 
-/// HMAC-SHA-256. Keyed hashing is the survey's standard defence that keeps a
-/// dictionary-equipped adversary from hashing candidate QID values itself.
-std::array<uint8_t, 32> HmacSha256(std::string_view key, std::string_view data);
+/// HMAC-SHA-256 with the key-dependent work done once. Keyed hashing is the
+/// survey's standard defence that keeps a dictionary-equipped adversary from
+/// hashing candidate QID values itself.
+///
+/// The constructor compresses the ipad and opad key blocks into two SHA-256
+/// midstates; Mac() resumes from them, so a message under 56 bytes costs
+/// exactly two compressions instead of four. Build one per key and reuse it
+/// for every value hashed under that key.
+class HmacSha256Key {
+ public:
+  explicit HmacSha256Key(std::string_view key);
+
+  std::array<uint8_t, 32> Mac(std::string_view data) const;
+
+ private:
+  std::array<uint32_t, 8> inner_;  ///< state after the (key ^ ipad) block
+  std::array<uint32_t, 8> outer_;  ///< state after the (key ^ opad) block
+};
+
+/// One-shot HMAC-SHA-256; prefer HmacSha256Key when one key hashes many values.
+inline std::array<uint8_t, 32> HmacSha256(std::string_view key, std::string_view data) {
+  return HmacSha256Key(key).Mac(data);
+}
+
+/// The SHA-256 compression function every digest above runs through. Each
+/// kernel folds `num_blocks` consecutive 64-byte blocks into `state`.
+/// Sha256Compress picks the SHA-NI kernel once per process when the CPU has
+/// the SHA extensions (the same __builtin_cpu_supports dispatch the
+/// comparison and CSV kernels use) and the scalar kernel otherwise. The
+/// kernels are exposed so tests can check them against each other.
+void Sha256Compress(uint32_t state[8], const uint8_t* blocks, size_t num_blocks);
+void Sha256CompressScalar(uint32_t state[8], const uint8_t* blocks, size_t num_blocks);
+#if defined(__x86_64__) && defined(__GNUC__)
+#define PPRL_HAVE_SHA_NI_KERNEL 1
+/// Requires ShaNiAvailable().
+void Sha256CompressShaNi(uint32_t state[8], const uint8_t* blocks, size_t num_blocks);
+#endif
+/// True when this CPU has the SHA extensions, i.e. Sha256Compress runs the
+/// SHA-NI kernel.
+bool ShaNiAvailable();
 
 /// First 8 bytes of a digest as a little-endian integer, for use as a hash
 /// value in [0, 2^64).

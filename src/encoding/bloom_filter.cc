@@ -1,5 +1,7 @@
 #include "encoding/bloom_filter.h"
 
+#include <charconv>
+
 #include "crypto/hash.h"
 #include "encoding/numeric_encoding.h"
 
@@ -15,37 +17,55 @@ Status BloomFilterParams::Validate() const {
 }
 
 BloomFilterEncoder::BloomFilterEncoder(BloomFilterParams params)
-    : params_(std::move(params)) {}
+    : params_(std::move(params)), hmac_(params_.secret_key) {}
 
-std::vector<uint32_t> BloomFilterEncoder::TokenPositions(const std::string& token) const {
-  std::vector<uint32_t> positions;
-  positions.reserve(params_.num_hashes);
+template <typename Sink>
+void BloomFilterEncoder::ForEachPosition(std::string_view token, std::string& scratch,
+                                         Sink&& sink) const {
   const uint64_t l = params_.num_bits;
   switch (params_.scheme) {
     case BloomHashScheme::kDoubleHashing: {
       const uint64_t h1 = DigestToUint64(Md5(token));
       const uint64_t h2 = DigestToUint64(Sha1(token));
       for (size_t j = 0; j < params_.num_hashes; ++j) {
-        positions.push_back(static_cast<uint32_t>((h1 + j * h2) % l));
+        sink(static_cast<uint32_t>((h1 + j * h2) % l));
       }
       break;
     }
     case BloomHashScheme::kKeyedHmac: {
+      // Message j is token || 0x1f || decimal(j), rewritten in place.
+      scratch.assign(token);
+      scratch += '\x1f';
+      const size_t prefix = scratch.size();
       for (size_t j = 0; j < params_.num_hashes; ++j) {
-        const auto mac = HmacSha256(params_.secret_key, token + "\x1f" + std::to_string(j));
-        positions.push_back(static_cast<uint32_t>(DigestToUint64(mac) % l));
+        char digits[20];
+        const auto end = std::to_chars(digits, digits + sizeof(digits), j).ptr;
+        scratch.resize(prefix);
+        scratch.append(digits, end);
+        sink(static_cast<uint32_t>(DigestToUint64(hmac_.Mac(scratch)) % l));
       }
       break;
     }
   }
+}
+
+std::vector<uint32_t> BloomFilterEncoder::TokenPositions(std::string_view token) const {
+  std::vector<uint32_t> positions;
+  positions.reserve(params_.num_hashes);
+  std::string scratch;
+  ForEachPosition(token, scratch, [&](uint32_t pos) { positions.push_back(pos); });
   return positions;
+}
+
+void BloomFilterEncoder::AddToken(std::string_view token, BitVector& filter,
+                                  std::string& scratch) const {
+  ForEachPosition(token, scratch, [&](uint32_t pos) { filter.Set(pos); });
 }
 
 BitVector BloomFilterEncoder::EncodeTokens(const std::vector<std::string>& tokens) const {
   BitVector filter(params_.num_bits);
-  for (const std::string& token : tokens) {
-    for (uint32_t pos : TokenPositions(token)) filter.Set(pos);
-  }
+  std::string scratch;
+  for (const std::string& token : tokens) AddToken(token, filter, scratch);
   return filter;
 }
 
@@ -55,12 +75,24 @@ BitVector BloomFilterEncoder::EncodeString(const std::string& value,
 }
 
 ClkEncoder::ClkEncoder(BloomFilterParams params, std::vector<ClkFieldConfig> fields)
-    : params_(std::move(params)), fields_(std::move(fields)) {}
+    : params_(std::move(params)),
+      fields_(std::move(fields)),
+      params_status_(params_.Validate()) {
+  field_encoders_.reserve(fields_.size());
+  for (const ClkFieldConfig& field : fields_) {
+    BloomFilterParams field_params = params_;
+    field_params.num_hashes = field.num_hashes;
+    field_encoders_.emplace_back(std::move(field_params));
+  }
+}
 
 Result<BitVector> ClkEncoder::Encode(const Schema& schema, const Record& record) const {
-  PPRL_RETURN_IF_ERROR(params_.Validate());
+  PPRL_RETURN_IF_ERROR(params_status_);
   BitVector clk(params_.num_bits);
-  for (const ClkFieldConfig& field : fields_) {
+  std::string token;
+  std::string scratch;
+  for (size_t f = 0; f < fields_.size(); ++f) {
+    const ClkFieldConfig& field = fields_[f];
     const int idx = schema.FieldIndex(field.field_name);
     if (idx < 0) {
       return Status::InvalidArgument("CLK field '" + field.field_name +
@@ -84,11 +116,14 @@ Result<BitVector> ClkEncoder::Encode(const Schema& schema, const Record& record)
     }
     // Field-distinct tokens: prefix with the field name so "jo" in a first
     // name and "jo" in a surname map to different positions.
-    BloomFilterParams field_params = params_;
-    field_params.num_hashes = field.num_hashes;
-    const BloomFilterEncoder encoder(field_params);
-    for (std::string& token : tokens) token = field.field_name + "\x1e" + token;
-    clk |= encoder.EncodeTokens(tokens);
+    token.assign(field.field_name);
+    token += '\x1e';
+    const size_t prefix = token.size();
+    for (const std::string& gram : tokens) {
+      token.resize(prefix);
+      token += gram;
+      field_encoders_[f].AddToken(token, clk, scratch);
+    }
   }
   return clk;
 }

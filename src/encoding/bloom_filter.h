@@ -2,12 +2,14 @@
 #define PPRL_ENCODING_BLOOM_FILTER_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bitvector.h"
 #include "common/record.h"
 #include "common/status.h"
 #include "common/strings.h"
+#include "crypto/hash.h"
 
 namespace pprl {
 
@@ -40,6 +42,8 @@ struct BloomFilterParams {
 /// on the q-gram sets.
 class BloomFilterEncoder {
  public:
+  /// Builds the HMAC key state once (kKeyedHmac), so hashing a token never
+  /// touches the key again.
   explicit BloomFilterEncoder(BloomFilterParams params);
 
   /// Maps an explicit token set into a filter.
@@ -51,12 +55,21 @@ class BloomFilterEncoder {
 
   /// Bit positions a single token maps to (exposed for the cryptanalysis
   /// attack module, which needs the same mapping the encoder uses).
-  std::vector<uint32_t> TokenPositions(const std::string& token) const;
+  std::vector<uint32_t> TokenPositions(std::string_view token) const;
+
+  /// Sets the token's k positions in `filter` (of params().num_bits bits).
+  /// `scratch` holds the keyed scheme's per-hash message; passing the same
+  /// string for every token keeps the hot path free of allocation.
+  void AddToken(std::string_view token, BitVector& filter, std::string& scratch) const;
 
   const BloomFilterParams& params() const { return params_; }
 
  private:
+  template <typename Sink>
+  void ForEachPosition(std::string_view token, std::string& scratch, Sink&& sink) const;
+
   BloomFilterParams params_;
+  HmacSha256Key hmac_;  ///< keyed by params_.secret_key; used by kKeyedHmac only
 };
 
 /// Per-field configuration of a record-level encoding.
@@ -78,6 +91,8 @@ struct ClkFieldConfig {
 class ClkEncoder {
  public:
   /// `params.num_hashes` is ignored; per-field counts come from `fields`.
+  /// The parameters are validated and the per-field encoders built here;
+  /// invalid parameters make every Encode() call return the error.
   ClkEncoder(BloomFilterParams params, std::vector<ClkFieldConfig> fields);
 
   /// Encodes the configured fields of `record` under `schema` into one CLK.
@@ -93,6 +108,9 @@ class ClkEncoder {
  private:
   BloomFilterParams params_;
   std::vector<ClkFieldConfig> fields_;
+  Status params_status_;  ///< params_.Validate(), checked once
+  /// One encoder per field (fields_[i].num_hashes hashes), built once.
+  std::vector<BloomFilterEncoder> field_encoders_;
 };
 
 }  // namespace pprl

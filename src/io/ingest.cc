@@ -10,6 +10,7 @@
 #include "common/strings.h"
 #include "io/pclk.h"
 #include "obs/metrics.h"
+#include "obs/stage_timer.h"
 
 namespace pprl::io {
 
@@ -171,6 +172,9 @@ Result<EncodedShard> EncodeCsvToShard(const std::string& path,
                                       const ClkEncoder& encoder,
                                       CsvCursorOptions options,
                                       IngestStats* stats) {
+  // The owner-side encode stage, in the same pprl_stage_seconds span
+  // PprlPipeline::Link records; here it covers the fused CSV read.
+  obs::StageTimer encode_span("encode");
   const Clock::time_point start = Clock::now();
   auto cursor = CsvCursor::OpenFile(path, options);
   if (!cursor.ok()) return cursor.status();

@@ -1,0 +1,157 @@
+/// Golden CLK digests: the encoder's output is pinned bit for bit, under
+/// both hash schemes and through both encode entry points (in-memory
+/// ClkEncoder::EncodeDatabase and the streaming io::EncodeCsvToShard), so
+/// any change to the hash primitives or the encoder that moves a single bit
+/// fails here. The digests are FNV-1a-64 over the raw CLK words and ids,
+/// deliberately independent of the hash code under test. The pinned values
+/// come from the straightforward allocating MD5/SHA-1/SHA-256/HMAC code the
+/// current hash core replaced; they must never change.
+
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "datagen/generator.h"
+#include "datagen/io.h"
+#include "encoding/bloom_filter.h"
+#include "io/ingest.h"
+#include "pipeline/pipeline.h"
+
+namespace pprl {
+namespace {
+
+constexpr size_t kRecordsPerDatabase = 5000;  // two databases: 10k records
+
+class Fnv64 {
+ public:
+  void Add(const void* data, size_t n) {
+    const auto* p = static_cast<const uint8_t*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h_ ^= p[i];
+      h_ *= 1099511628211ull;
+    }
+  }
+  void Add(uint64_t v) { Add(&v, sizeof(v)); }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 1469598103934665603ull;
+};
+
+/// Two overlapping, corrupted databases from a fixed generator seed.
+const std::vector<Database>& GoldenDatabases() {
+  static const std::vector<Database> dbs = [] {
+    GeneratorConfig generator;
+    generator.seed = 20260611;
+    DataGenerator gen(generator);
+    LinkageScenarioConfig scenario;
+    scenario.records_per_database = kRecordsPerDatabase;
+    scenario.num_databases = 2;
+    scenario.corruption.mean_corruptions = 2;
+    scenario.corrupt_all_databases = true;
+    return gen.GenerateScenario(scenario).value();
+  }();
+  return dbs;
+}
+
+BloomFilterParams SchemeParams(BloomHashScheme scheme) {
+  BloomFilterParams params = PipelineConfig{}.bloom;
+  params.scheme = scheme;
+  if (scheme == BloomHashScheme::kKeyedHmac) params.secret_key = "golden-clk-key";
+  return params;
+}
+
+ClkEncoder GoldenEncoder(BloomHashScheme scheme) {
+  return ClkEncoder(SchemeParams(scheme), PprlPipeline::DefaultFieldConfigs());
+}
+
+uint64_t EncodeDatabaseDigest(BloomHashScheme scheme) {
+  const ClkEncoder encoder = GoldenEncoder(scheme);
+  Fnv64 fnv;
+  for (const Database& db : GoldenDatabases()) {
+    auto clks = encoder.EncodeDatabase(db);
+    EXPECT_TRUE(clks.ok()) << clks.status().ToString();
+    if (!clks.ok()) return 0;
+    fnv.Add(clks->size());
+    for (const BitVector& clk : *clks) {
+      fnv.Add(clk.size());
+      fnv.Add(clk.words().data(), clk.words().size() * sizeof(uint64_t));
+    }
+  }
+  return fnv.value();
+}
+
+uint64_t EncodeCsvDigest(BloomHashScheme scheme) {
+  const ClkEncoder encoder = GoldenEncoder(scheme);
+  Fnv64 fnv;
+  for (size_t d = 0; d < GoldenDatabases().size(); ++d) {
+    const std::string path =
+        ::testing::TempDir() + "/clk_golden_" + std::to_string(d) + ".csv";
+    EXPECT_TRUE(WriteDatabaseCsv(path, GoldenDatabases()[d]).ok());
+    auto shard = io::EncodeCsvToShard(path, encoder);
+    std::remove(path.c_str());
+    EXPECT_TRUE(shard.ok()) << shard.status().ToString();
+    if (!shard.ok()) return 0;
+    fnv.Add(shard->size());
+    fnv.Add(shard->bits.num_bits());
+    for (size_t r = 0; r < shard->size(); ++r) {
+      fnv.Add(shard->ids[r]);
+      fnv.Add(shard->bits.row(r), shard->bits.words_per_row() * sizeof(uint64_t));
+    }
+  }
+  return fnv.value();
+}
+
+/// Token lengths on both sides of every padding boundary: a message of 55
+/// bytes still fits one block, 56 needs two, and the HMAC input is the token
+/// plus "\x1f" and the decimal hash index.
+uint64_t TokenPositionsDigest(BloomHashScheme scheme) {
+  Fnv64 fnv;
+  for (const std::string& key : {std::string("k"), std::string(64, 'K'),
+                                 std::string(100, 'x')}) {
+    for (size_t num_bits : {size_t{64}, size_t{1000}, size_t{4093}}) {
+      BloomFilterParams params = SchemeParams(scheme);
+      if (scheme == BloomHashScheme::kKeyedHmac) params.secret_key = key;
+      params.num_bits = num_bits;
+      params.num_hashes = 12;
+      const BloomFilterEncoder encoder(params);
+      for (size_t len : {0, 1, 2, 3, 51, 52, 53, 54, 55, 56, 57, 62, 63, 64, 65,
+                         118, 119, 120, 200}) {
+        std::string token;
+        for (size_t i = 0; i < len; ++i) token += static_cast<char>('a' + (i * 7) % 26);
+        for (uint32_t pos : encoder.TokenPositions(token)) fnv.Add(pos);
+      }
+    }
+    if (scheme == BloomHashScheme::kDoubleHashing) break;  // keyless
+  }
+  return fnv.value();
+}
+
+TEST(ClkGoldenTest, DoubleHashingEncodeDatabase) {
+  EXPECT_EQ(EncodeDatabaseDigest(BloomHashScheme::kDoubleHashing),
+            10288423212832515704ull);
+}
+
+TEST(ClkGoldenTest, KeyedHmacEncodeDatabase) {
+  EXPECT_EQ(EncodeDatabaseDigest(BloomHashScheme::kKeyedHmac), 2070087141390524054ull);
+}
+
+TEST(ClkGoldenTest, DoubleHashingEncodeCsvToShard) {
+  EXPECT_EQ(EncodeCsvDigest(BloomHashScheme::kDoubleHashing), 5750946860434527396ull);
+}
+
+TEST(ClkGoldenTest, KeyedHmacEncodeCsvToShard) {
+  EXPECT_EQ(EncodeCsvDigest(BloomHashScheme::kKeyedHmac), 280948349391593814ull);
+}
+
+TEST(ClkGoldenTest, TokenPositions) {
+  EXPECT_EQ(TokenPositionsDigest(BloomHashScheme::kDoubleHashing),
+            9882549089864682066ull);
+  EXPECT_EQ(TokenPositionsDigest(BloomHashScheme::kKeyedHmac), 2322824552408143386ull);
+}
+
+}  // namespace
+}  // namespace pprl

@@ -1,6 +1,12 @@
 #include "crypto/hash.h"
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "common/random.h"
 
 namespace pprl {
 namespace {
@@ -38,15 +44,6 @@ TEST(Sha256Test, MultiBlockMessage) {
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
-TEST(HmacTest, Rfc4231Vectors) {
-  // RFC 4231 test case 2.
-  EXPECT_EQ(DigestToHex(HmacSha256("Jefe", "what do ya want for nothing?")),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
-  // Wikipedia's classic example.
-  EXPECT_EQ(DigestToHex(HmacSha256("key", "The quick brown fox jumps over the lazy dog")),
-            "f7bc83f430538424b13298e6aa6fb143ef4d59a14946175997479dbc2d1a3cd8");
-}
-
 TEST(HmacTest, LongKeyIsHashedFirst) {
   const std::string long_key(200, 'k');
   // Consistency: must equal HMAC with SHA256(long_key) as the key material.
@@ -60,6 +57,129 @@ TEST(HmacTest, LongKeyIsHashedFirst) {
 TEST(HmacTest, KeySeparation) {
   EXPECT_NE(DigestToHex(HmacSha256("key1", "data")),
             DigestToHex(HmacSha256("key2", "data")));
+}
+
+/// HMAC by its textbook definition, H((K ^ opad) || H((K ^ ipad) || m)),
+/// over concatenated strings: no midstates, so it checks HmacSha256Key's
+/// resumed-state arithmetic independently.
+std::array<uint8_t, 32> ReferenceHmac(const std::string& key, const std::string& data) {
+  std::string block = key.size() > 64 ? std::string(reinterpret_cast<const char*>(
+                                                        Sha256(key).data()),
+                                                    32)
+                                      : key;
+  block.resize(64, '\0');
+  std::string inner, outer;
+  for (char c : block) inner += static_cast<char>(c ^ 0x36);
+  for (char c : block) outer += static_cast<char>(c ^ 0x5c);
+  const auto inner_digest = Sha256(inner + data);
+  outer.append(reinterpret_cast<const char*>(inner_digest.data()), inner_digest.size());
+  return Sha256(outer);
+}
+
+std::string RandomBytes(Rng& rng, size_t n) {
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rng.NextUint64() & 0xff);
+  return out;
+}
+
+/// RFC 4231 test cases 1-4, 6 and 7 (case 5 truncates the MAC), plus
+/// Wikipedia's classic example.
+TEST(HmacTest, Rfc4231Vectors) {
+  struct Vector {
+    std::string key, data, mac;
+  };
+  const std::string big_key(131, '\xaa');
+  std::string tc4_key;
+  for (int i = 1; i <= 25; ++i) tc4_key += static_cast<char>(i);
+  const std::vector<Vector> vectors = {
+      {std::string(20, '\x0b'), "Hi There",
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {"Jefe", "what do ya want for nothing?",
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {std::string(20, '\xaa'), std::string(50, '\xdd'),
+       "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+      {tc4_key, std::string(50, '\xcd'),
+       "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"},
+      {big_key, "Test Using Larger Than Block-Size Key - Hash Key First",
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+      {big_key,
+       "This is a test using a larger than block-size key and a larger than "
+       "block-size data. The key needs to be hashed before being used by the HMAC "
+       "algorithm.",
+       "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"},
+      {"key", "The quick brown fox jumps over the lazy dog",
+       "f7bc83f430538424b13298e6aa6fb143ef4d59a14946175997479dbc2d1a3cd8"},
+  };
+  for (const Vector& v : vectors) {
+    EXPECT_EQ(DigestToHex(HmacSha256Key(v.key).Mac(v.data)), v.mac);
+    EXPECT_EQ(DigestToHex(HmacSha256(v.key, v.data)), v.mac);
+    EXPECT_EQ(DigestToHex(ReferenceHmac(v.key, v.data)), v.mac);
+  }
+}
+
+/// Key lengths around the 64-byte block (longer keys are hashed first) and
+/// message lengths around both padding boundaries of the inner hash.
+TEST(HmacTest, PrecomputedKeyMatchesReferenceAcrossBoundaries) {
+  Rng rng(4231);
+  for (size_t key_len : {0, 63, 64, 65, 200}) {
+    const std::string key = RandomBytes(rng, key_len);
+    const HmacSha256Key keyed(key);
+    for (size_t msg_len : {0, 55, 56, 63, 64, 119, 120, 300}) {
+      const std::string msg = RandomBytes(rng, msg_len);
+      EXPECT_EQ(DigestToHex(keyed.Mac(msg)), DigestToHex(ReferenceHmac(key, msg)))
+          << "key " << key_len << " bytes, message " << msg_len << " bytes";
+    }
+  }
+}
+
+TEST(HmacTest, PrecomputedKeyIsReusable) {
+  const HmacSha256Key keyed("key");
+  const auto first = keyed.Mac("a");
+  keyed.Mac(std::string(500, 'z'));
+  EXPECT_EQ(keyed.Mac("a"), first);
+}
+
+TEST(Sha256KernelTest, ScalarMatchesNistVectorOnOneBlock) {
+  // "abc" padded to one block; the digest is the state after one compression.
+  uint8_t block[64] = {'a', 'b', 'c', 0x80};
+  block[63] = 24;
+  uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  Sha256CompressScalar(state, block, 1);
+  EXPECT_EQ(state[0], 0xba7816bfu);
+  EXPECT_EQ(state[7], 0xf20015adu);
+}
+
+TEST(Sha256KernelTest, ShaNiMatchesScalarOnRandomBlocks) {
+#ifdef PPRL_HAVE_SHA_NI_KERNEL
+  if (!ShaNiAvailable()) GTEST_SKIP() << "CPU lacks the SHA extensions";
+  Rng rng(256);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t num_blocks = 1 + rng.NextUint64() % 4;
+    const std::string blocks = RandomBytes(rng, 64 * num_blocks);
+    uint32_t scalar[8];
+    for (uint32_t& word : scalar) word = static_cast<uint32_t>(rng.NextUint64());
+    uint32_t sha_ni[8];
+    std::copy(scalar, scalar + 8, sha_ni);
+    const auto* bytes = reinterpret_cast<const uint8_t*>(blocks.data());
+    Sha256CompressScalar(scalar, bytes, num_blocks);
+    Sha256CompressShaNi(sha_ni, bytes, num_blocks);
+    ASSERT_TRUE(std::equal(scalar, scalar + 8, sha_ni)) << "trial " << trial;
+  }
+#else
+  GTEST_SKIP() << "no SHA-NI kernel on this architecture";
+#endif
+}
+
+TEST(Sha256KernelTest, DispatchedKernelMatchesScalar) {
+  Rng rng(512);
+  const std::string blocks = RandomBytes(rng, 64 * 3);
+  const auto* bytes = reinterpret_cast<const uint8_t*>(blocks.data());
+  uint32_t scalar[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  uint32_t dispatched[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  Sha256CompressScalar(scalar, bytes, 3);
+  Sha256Compress(dispatched, bytes, 3);
+  EXPECT_TRUE(std::equal(scalar, scalar + 8, dispatched));
 }
 
 TEST(DigestHelpersTest, DigestToUint64LittleEndian) {

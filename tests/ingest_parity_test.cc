@@ -19,6 +19,7 @@
 #include "io/pclk.h"
 #include "linkage/clustering.h"
 #include "linkage/matching.h"
+#include "obs/metrics.h"
 
 namespace pprl {
 namespace {
@@ -223,6 +224,18 @@ TEST_F(IngestParityTest, IngestStatsAreReported) {
   EXPECT_EQ(stats.records, shard->size());
   EXPECT_GT(stats.input_bytes, 0u);
   EXPECT_GE(stats.seconds, 0.0);
+}
+
+/// The CLI's encode path (pprl_cli encode / ship) records the same
+/// `encode` stage span as PprlPipeline::Link, once per call.
+TEST_F(IngestParityTest, EncodeRecordsOneEncodeStageSample) {
+  const obs::Histogram& encode_stage = obs::GlobalMetrics().GetHistogram(
+      "pprl_stage_seconds", "Wall time of one pipeline stage run",
+      obs::DefaultLatencyBuckets(), {{"stage", "encode"}});
+  const uint64_t before = encode_stage.count();
+  auto shard = io::EncodeCsvToShard(a_csv_, MakeEncoder());
+  ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+  EXPECT_EQ(encode_stage.count(), before + 1);
 }
 
 TEST_F(IngestParityTest, SchemaPeekMatchesFullIngest) {
