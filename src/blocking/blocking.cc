@@ -181,56 +181,6 @@ class ShardEmitter {
   uint32_t next_id_ = 0;
 };
 
-/// The run-shard counterpart of ShardEmitter: accumulates PairRuns,
-/// splitting them at shard boundaries so every emitted shard covers
-/// exactly `shard_size` candidate pairs (the final one fewer) — the same
-/// boundaries the materializing emitters produce. shard_size 0 keeps the
-/// unsharded semantics: one shard per Append'ed run group.
-class RunShardEmitter {
- public:
-  RunShardEmitter(size_t shard_size, const CandidateShardFn& emit)
-      : shard_size_(shard_size), emit_(emit) {}
-
-  /// Adds the run (a, [b_begin, b_end)) to the current shard.
-  void Append(uint32_t a, uint32_t b_begin, uint32_t b_end) {
-    while (b_begin < b_end) {
-      const size_t width = b_end - b_begin;
-      const size_t room =
-          shard_size_ == 0 ? width : shard_size_ - buffered_pairs_;
-      const uint32_t take = static_cast<uint32_t>(std::min(width, room));
-      runs_.push_back({a, b_begin, b_begin + take});
-      buffered_pairs_ += take;
-      b_begin += take;
-      if (shard_size_ != 0 && buffered_pairs_ >= shard_size_) EmitShard();
-    }
-  }
-
-  /// Ends one unsharded group (one a-record's candidates); no-op when a
-  /// fixed shard_size drives the boundaries.
-  void EndGroup() {
-    if (shard_size_ == 0) EmitShard();
-  }
-
-  void Flush() { EmitShard(); }
-
- private:
-  void EmitShard() {
-    if (runs_.empty()) return;
-    CandidateShard shard;
-    shard.shard_id = next_id_++;
-    shard.runs = std::move(runs_);
-    runs_ = {};
-    buffered_pairs_ = 0;
-    emit_(std::move(shard));
-  }
-
-  size_t shard_size_;
-  const CandidateShardFn& emit_;
-  std::vector<PairRun> runs_;
-  size_t buffered_pairs_ = 0;
-  uint32_t next_id_ = 0;
-};
-
 /// Shared driver for the blocked streams: ascending a-record, each
 /// record's b-candidates sorted and deduplicated locally (duplicates only
 /// arise within one a-record, so local dedup equals the global
@@ -268,6 +218,51 @@ void ForEachBlockedRun(const BlockIndex& a, const BlockIndex& b,
 
 }  // namespace
 
+RunShardEmitter::RunShardEmitter(size_t shard_size, const CandidateShardFn& emit)
+    : shard_size_(shard_size), emit_(emit) {}
+
+void RunShardEmitter::Append(uint32_t a, uint32_t b_begin, uint32_t b_end) {
+  while (b_begin < b_end) {
+    const size_t width = b_end - b_begin;
+    const size_t room = shard_size_ == 0 ? width : shard_size_ - buffered_pairs_;
+    const uint32_t take = static_cast<uint32_t>(std::min(width, room));
+    runs_.push_back({a, b_begin, b_begin + take});
+    buffered_pairs_ += take;
+    b_begin += take;
+    if (shard_size_ != 0 && buffered_pairs_ >= shard_size_) EmitShard();
+  }
+}
+
+void RunShardEmitter::AppendCandidates(uint32_t a, const std::vector<uint32_t>& bs) {
+  if (bs.empty()) return;
+  // Compress the sorted, deduplicated b list into maximal consecutive
+  // intervals. Blocked candidates are clustered (whole blocks of adjacent
+  // record ids), so runs are usually much shorter than pairs; a degenerate
+  // stride-2 list merely degrades to one run per pair.
+  size_t i = 0;
+  while (i < bs.size()) {
+    size_t j = i + 1;
+    while (j < bs.size() && bs[j] == bs[j - 1] + 1) ++j;
+    Append(a, bs[i], bs[j - 1] + 1);
+    i = j;
+  }
+  EndGroup();
+}
+
+void RunShardEmitter::EndGroup() {
+  if (shard_size_ == 0) EmitShard();
+}
+
+void RunShardEmitter::EmitShard() {
+  if (runs_.empty()) return;
+  CandidateShard shard;
+  shard.shard_id = next_id_++;
+  shard.runs = std::move(runs_);
+  runs_ = {};
+  buffered_pairs_ = 0;
+  emit_(std::move(shard));
+}
+
 void StreamBlockedPairs(const BlockIndex& a, const BlockIndex& b, size_t shard_size,
                         const CandidateShardFn& emit) {
   ShardEmitter shards(shard_size, emit);
@@ -286,18 +281,7 @@ void StreamBlockedPairRuns(const BlockIndex& a, const BlockIndex& b,
                            size_t shard_size, const CandidateShardFn& emit) {
   RunShardEmitter shards(shard_size, emit);
   ForEachBlockedRun(a, b, [&](uint32_t ra, const std::vector<uint32_t>& bs) {
-    // Compress the sorted, deduplicated b list into maximal consecutive
-    // intervals. Blocked candidates are clustered (whole blocks of
-    // adjacent record ids), so runs are usually much shorter than pairs;
-    // a degenerate stride-2 list merely degrades to one run per pair.
-    size_t i = 0;
-    while (i < bs.size()) {
-      size_t j = i + 1;
-      while (j < bs.size() && bs[j] == bs[j - 1] + 1) ++j;
-      shards.Append(ra, bs[i], bs[j - 1] + 1);
-      i = j;
-    }
-    shards.EndGroup();
+    shards.AppendCandidates(ra, bs);
   });
   shards.Flush();
 }

@@ -155,6 +155,42 @@ void StreamBlockedPairRuns(const BlockIndex& a, const BlockIndex& b,
 void StreamFullPairRuns(size_t size_a, size_t size_b, size_t shard_size,
                         const CandidateShardFn& emit);
 
+/// Cuts a run producer's candidate sequence into run shards: accumulates
+/// PairRuns, splitting them at shard boundaries so every emitted shard
+/// covers exactly `shard_size` candidate pairs (the final one fewer) — the
+/// same boundaries the materializing emitters produce. shard_size 0 keeps
+/// the unsharded semantics: one shard per group (one a-record's
+/// candidates). Every run producer goes through this class, so equal
+/// candidate sequences always get equal shards.
+class RunShardEmitter {
+ public:
+  RunShardEmitter(size_t shard_size, const CandidateShardFn& emit);
+
+  /// Adds the run (a, [b_begin, b_end)) to the current shard.
+  void Append(uint32_t a, uint32_t b_begin, uint32_t b_end);
+
+  /// Adds one a-record's candidates — `bs` ascending and distinct — as
+  /// maximal runs of consecutive b, then ends the group. No-op for an
+  /// empty `bs`.
+  void AppendCandidates(uint32_t a, const std::vector<uint32_t>& bs);
+
+  /// Ends one unsharded group; no-op when a fixed shard_size drives the
+  /// boundaries.
+  void EndGroup();
+
+  /// Emits the trailing partial shard.
+  void Flush() { EmitShard(); }
+
+ private:
+  void EmitShard();
+
+  size_t shard_size_;
+  const CandidateShardFn& emit_;
+  std::vector<PairRun> runs_;
+  size_t buffered_pairs_ = 0;
+  uint32_t next_id_ = 0;
+};
+
 }  // namespace pprl
 
 #endif  // PPRL_BLOCKING_BLOCKING_H_

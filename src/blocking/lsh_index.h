@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "blocking/blocking.h"
 #include "blocking/lsh_blocking.h"
 #include "common/bit_matrix.h"
 #include "common/bitvector.h"
@@ -12,16 +13,24 @@
 
 namespace pprl {
 
-/// An incrementally-maintainable Hamming-LSH blocking index.
+/// The Hamming-LSH band index: one collision relation behind both batch
+/// blocking and online serving.
 ///
-/// `HammingLshBlocker` answers the batch question — all candidate pairs
-/// between two fully-materialized databases — by building string-keyed
-/// `BlockIndex` maps and intersecting them. The online serving path asks a
-/// different question thousands of times per second: given ONE new filter,
-/// which already-indexed rows collide with it in at least one band table?
-/// This class answers that in O(tables + candidates) per probe and supports
-/// append-without-rebuild, which is what turns "link one new record" from a
-/// batch job into a sub-millisecond query (ROADMAP "velocity" item).
+/// Two rows collide when they agree on every sampled bit of at least one
+/// band table. `HammingLshBlocker` spells that relation as string keys;
+/// this class keeps it as packed integer fingerprints in open-addressing
+/// tables, which serves two callers:
+///  - Batch (`LinkageUnitService::Link`, `PprlPipeline::Link` with
+///    kHammingLsh): the block stage builds one index per database from its
+///    packed rows (bulk constructor). A database pair's candidates come
+///    from probing each A row against B's index (`CandidatePairs`,
+///    `StreamCandidateRuns`). A probe returns distinct B rows in ascending
+///    order, so the (a, b) sequence comes out sorted and deduplicated with
+///    no string keys and no global sort, and the compare kernels read
+///    `rows()` directly.
+///  - Online (`OnlineLinkageEngine`): append-without-rebuild and one probe
+///    per query in O(tables + candidates), which turns "link one new
+///    record" from a batch job into a sub-millisecond query.
 ///
 /// Design:
 ///  - Band geometry is the `HammingLshBlocker`'s own sampled positions
@@ -29,8 +38,10 @@ namespace pprl {
 ///    IDENTICAL to the batch blocker's: two rows collide here iff their
 ///    string keys in `HammingLshBlocker::Keys` are equal for some table.
 ///    For bits_per_key <= 64 the band fingerprint packs the sampled bits
-///    into a u64 (injective, hence exact); wider bands fall back to
-///    FNV-1a-64 over the sampled bits.
+///    into a u64 (injective, hence exact). Wider bands fingerprint by
+///    FNV-1a-64 over the sampled bits, and a table slot matches a probe
+///    only when its head row's sampled bits equal the probe's, so a hash
+///    collision between two different bands never merges their chains.
 ///  - Each table is an open-addressing fingerprint -> bucket-head map with
 ///    per-row chain links ("next" array), so an append touches O(tables)
 ///    cache lines and never reallocates per-bucket storage.
@@ -39,11 +50,20 @@ namespace pprl {
 ///    unchanged over candidate sets.
 class LshBandIndex {
  public:
-  /// Samples band geometry from `Rng(seed)` exactly like the batch path in
-  /// pipeline/party.cc does, so a batch `Link()` with the same
+  /// Samples band geometry from `Rng(seed)` exactly like a
+  /// `HammingLshBlocker` built from `Rng(seed)` (the string-keyed
+  /// partitioned path in pipeline/party.cc), so every path with the same
   /// (filter_bits, num_tables, bits_per_key, seed) sees the same collisions.
   LshBandIndex(size_t filter_bits, size_t num_tables, size_t bits_per_key,
                uint64_t seed);
+
+  /// Bulk build: indexes every row of `rows` in order, with the same band
+  /// tables and band_checksum() as appending them one by one. `rows`
+  /// becomes the backing matrix, so a caller hands over the matrix it
+  /// packed instead of keeping a second copy. A matrix with no rows may
+  /// have any width; otherwise it must be `filter_bits` wide.
+  LshBandIndex(size_t filter_bits, size_t num_tables, size_t bits_per_key,
+               uint64_t seed, BitMatrix rows);
 
   /// Appends `filter` as the next row and indexes it in every band table.
   /// O(tables) map operations + one O(row words) copy. Returns the row id.
@@ -59,6 +79,23 @@ class LshBandIndex {
   /// All distinct indexed rows that collide with `probe` in at least one
   /// band table, ascending row order. Does not insert. `out` is cleared.
   void Probe(const BitVector& probe, std::vector<uint32_t>* out) const;
+
+  /// Probe() over raw row words (the BitVector/BitMatrix layout,
+  /// filter_bits() bits), so batch callers probe another matrix's rows
+  /// without a BitVector detour.
+  void ProbeWords(const uint64_t* words, std::vector<uint32_t>* out) const;
+
+  /// Every pair (a, b) where row a of `a_rows` collides with indexed row b
+  /// in at least one band table, ascending (a, b) and deduplicated:
+  /// exactly `HammingLshBlocker::CandidatePairs` over the two databases'
+  /// string-keyed indexes at equal geometry and seed.
+  std::vector<CandidatePair> CandidatePairs(const BitMatrix& a_rows) const;
+
+  /// The same candidate sequence as run shards of `shard_size` pairs (0:
+  /// one shard per A row with candidates), cut by the RunShardEmitter that
+  /// StreamBlockedPairRuns uses.
+  void StreamCandidateRuns(const BitMatrix& a_rows, size_t shard_size,
+                           const CandidateShardFn& emit) const;
 
   /// Band fingerprint of `bf` in `table` — equal fingerprints are exactly
   /// the string-key collisions of `HammingLshBlocker::Keys` when
@@ -98,9 +135,17 @@ class LshBandIndex {
     std::vector<uint32_t> next;    ///< per indexed row, previous head or kNoRow
     size_t used = 0;
 
-    uint32_t Find(uint64_t fp) const;          ///< head row or kNoRow
-    void Insert(uint64_t fp, uint32_t row);    ///< prepends `row` to fp's chain
+    /// Head row of the chain whose band equals the probe's, or kNoRow.
+    /// `same_band(head)` confirms a fingerprint match; it is only
+    /// consulted on one, and only wide (hashed) bands can fail it.
+    template <typename BandEq>
+    uint32_t Find(uint64_t fp, const BandEq& same_band) const;
+    /// Prepends `row` to its band's chain, opening a slot for a new band.
+    template <typename BandEq>
+    void Insert(uint64_t fp, uint32_t row, const BandEq& same_band);
     void Grow();
+    /// Starts loading fp's home slot into the cache ahead of Find().
+    void Prefetch(uint64_t fp) const;
   };
 
   static constexpr uint32_t kNoRow = UINT32_MAX;
@@ -108,6 +153,10 @@ class LshBandIndex {
   /// BandFingerprint over raw row words (bit i of the filter is bit i%64
   /// of word i/64, the BitVector/BitMatrix layout).
   uint64_t FingerprintWords(const uint64_t* words, size_t table) const;
+  /// Whether `words` and indexed row `row` agree on every sampled bit of
+  /// `table`. Always true for bands of <= 64 bits, whose fingerprint is
+  /// the band itself.
+  bool SameBand(const uint64_t* words, uint32_t row, size_t table) const;
   /// Indexes an already-stored row in every band table and folds its
   /// fingerprints into band_checksum_.
   void IndexRow(uint32_t row);

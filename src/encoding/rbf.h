@@ -75,6 +75,9 @@ class RbfEncoder {
   std::vector<RbfFieldConfig> fields_;
   /// layout_[i] tells which (field, bit) feeds output bit i.
   std::vector<SampledBit> layout_;
+  /// One field-level encoder per entry of fields_, built (and keyed) once
+  /// at construction rather than per field per record.
+  std::vector<BloomFilterEncoder> field_encoders_;
 };
 
 }  // namespace pprl

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "blocking/blocking.h"
+#include "blocking/lsh_index.h"
 #include "common/bit_matrix.h"
 #include "common/thread_pool.h"
 #include "linkage/compare_kernels.h"
@@ -115,13 +116,13 @@ StreamCompareResult StreamCompareShards(SimilarityMeasure measure,
                                         const ParallelLinkageOptions& options,
                                         const ShardProducer& produce);
 
-/// Convenience: streams the blocked candidates of two indexes (same pairs
-/// as StandardBlocker::CandidatePairs) straight into StreamCompareShards.
+/// Convenience: streams the Hamming-LSH candidates of `a_matrix`'s rows
+/// against `b_index` (LshBandIndex::StreamCandidateRuns) straight into
+/// StreamCompareShards, scoring against the index's own rows.
 StreamCompareResult StreamCompareBlocked(SimilarityMeasure measure,
                                          const BitMatrix& a_matrix,
-                                         const BitMatrix& b_matrix,
-                                         const BlockIndex& a_index,
-                                         const BlockIndex& b_index, double min_score,
+                                         const LshBandIndex& b_index,
+                                         double min_score,
                                          const ParallelLinkageOptions& options);
 
 }  // namespace pprl

@@ -1,8 +1,10 @@
 #include "pipeline/party.h"
 
+#include <deque>
 #include <optional>
 
 #include "blocking/lsh_blocking.h"
+#include "blocking/lsh_index.h"
 #include "common/bit_matrix.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
@@ -107,18 +109,14 @@ Result<MultiPartyLinkageResult> LinkageUnitService::Link(
                   "Multi-party linkage runs at a linkage unit")
       .Increment();
   MultiPartyLinkageResult result;
-  Rng rng(options.lsh_seed);
-  const HammingLshBlocker blocker(filter_bits, options.lsh_tables,
-                                  options.lsh_bits_per_key, rng);
-  // Pre-build every database's LSH index and contiguous bit matrix once.
+  // One Hamming-LSH band index per database, built over its packed rows;
+  // the compare kernels read those rows straight from the index. A deque,
+  // because an index is built in place and never moved.
   obs::StageTimer block_span("block");
-  std::vector<BlockIndex> indexes;
-  std::vector<BitMatrix> matrices;
-  indexes.reserve(databases_.size());
-  matrices.reserve(databases_.size());
+  std::deque<LshBandIndex> indexes;
   for (const EncodedDatabase& db : databases_) {
-    indexes.push_back(blocker.BuildIndex(db.filters));
-    matrices.push_back(BitMatrix::FromVectors(db.filters));
+    indexes.emplace_back(filter_bits, options.lsh_tables, options.lsh_bits_per_key,
+                         options.lsh_seed, BitMatrix::FromVectors(db.filters));
   }
   block_span.Stop();
 
@@ -150,18 +148,19 @@ Result<MultiPartyLinkageResult> LinkageUnitService::Link(
         ParallelLinkageOptions parallel_options;
         parallel_options.scheduler = scheduler;
         StreamCompareResult streamed = StreamCompareBlocked(
-            SimilarityMeasure::kDice, matrices[d1], matrices[d2], indexes[d1],
-            indexes[d2], options.dice_threshold - 2e-12, parallel_options);
+            SimilarityMeasure::kDice, indexes[d1].rows(), indexes[d2],
+            options.dice_threshold - 2e-12, parallel_options);
         result.candidate_pairs += streamed.comparisons;
         result.comparisons += streamed.comparisons;
         result.pruned_comparisons += streamed.pruned;
         scored = std::move(streamed.hits);
       } else {
-        const auto candidates =
-            HammingLshBlocker::CandidatePairs(indexes[d1], indexes[d2]);
+        // Probing each A row against B's index yields the candidates
+        // already sorted by (a, b) and deduplicated.
+        const auto candidates = indexes[d2].CandidatePairs(indexes[d1].rows());
         result.candidate_pairs += candidates.size();
-        scored = engine.CompareMatrices(matrices[d1], matrices[d2], candidates,
-                                        options.dice_threshold - 2e-12);
+        scored = engine.CompareMatrices(indexes[d1].rows(), indexes[d2].rows(),
+                                        candidates, options.dice_threshold - 2e-12);
         result.comparisons += engine.last_comparison_count();
         result.pruned_comparisons += engine.last_pruned_count();
       }

@@ -1,9 +1,10 @@
 #include "pipeline/pipeline.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "blocking/blocking.h"
-#include "blocking/lsh_blocking.h"
+#include "blocking/lsh_index.h"
 #include "eval/quality_estimation.h"
 #include "encoding/hardening.h"
 #include "common/thread_pool.h"
@@ -134,6 +135,10 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
   std::vector<CandidatePair> candidates;
   BlockIndex index_a;
   BlockIndex index_b;
+  // Hamming-LSH blocking packs each side into its band index, whose rows
+  // the comparison stage then reads.
+  std::optional<LshBandIndex> lsh_a;
+  std::optional<LshBandIndex> lsh_b;
   switch (config_.blocking) {
     case BlockingScheme::kNone:
       if (!streaming) candidates = FullPairs(a.records.size(), b.records.size());
@@ -152,10 +157,9 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
       break;
     }
     case BlockingScheme::kHammingLsh: {
-      Rng lsh_rng(config_.seed);
-      const size_t filter_bits = fa.empty() ? config_.bloom.num_bits : fa[0].size();
-      const HammingLshBlocker blocker(filter_bits, config_.lsh_tables,
-                                      config_.lsh_bits_per_key, lsh_rng);
+      const size_t filter_bits = !fa.empty()   ? fa[0].size()
+                                 : !fb.empty() ? fb[0].size()
+                                               : config_.bloom.num_bits;
       if (config_.model == LinkageModel::kDualLinkageUnit) {
         const size_t key_bytes = (config_.lsh_bits_per_key + 7) / 8 + 2;
         channel.Send("party-a", "lu-block", a.records.size() * config_.lsh_tables * key_bytes,
@@ -163,9 +167,11 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
         channel.Send("party-b", "lu-block", b.records.size() * config_.lsh_tables * key_bytes,
                      "lsh-keys");
       }
-      index_a = blocker.BuildIndex(fa);
-      index_b = blocker.BuildIndex(fb);
-      if (!streaming) candidates = HammingLshBlocker::CandidatePairs(index_a, index_b);
+      lsh_a.emplace(filter_bits, config_.lsh_tables, config_.lsh_bits_per_key,
+                    config_.seed, BitMatrix::FromVectors(fa));
+      lsh_b.emplace(filter_bits, config_.lsh_tables, config_.lsh_bits_per_key,
+                    config_.seed, BitMatrix::FromVectors(fb));
+      if (!streaming) candidates = lsh_b->CandidatePairs(lsh_a->rows());
       break;
     }
   }
@@ -176,12 +182,18 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
   // scores are bitwise identical to DiceSimilarity(), and pairs whose
   // cardinality bound already falls below the threshold skip the word loop.
   obs::StageTimer compare_span("compare");
+  BitMatrix packed_a;
+  BitMatrix packed_b;
+  if (!lsh_a) {
+    packed_a = BitMatrix::FromVectors(fa);
+    packed_b = BitMatrix::FromVectors(fb);
+  }
+  const BitMatrix& ma = lsh_a ? lsh_a->rows() : packed_a;
+  const BitMatrix& mb = lsh_b ? lsh_b->rows() : packed_b;
   std::vector<ScoredPair> scored;
   if (streaming) {
     ParallelLinkageOptions parallel_options;
     parallel_options.num_threads = config_.num_threads;
-    const BitMatrix ma = BitMatrix::FromVectors(fa);
-    const BitMatrix mb = BitMatrix::FromVectors(fb);
     // Resolve the auto-sized tuning once: the run-shard producers need the
     // effective shard size, and StreamCompareShards resolves to the same
     // values internally (same options, same filter width).
@@ -190,11 +202,17 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
     StreamCompareResult streamed = StreamCompareShards(
         SimilarityMeasure::kDice, ma, mb, config_.match_threshold, parallel_options,
         [&](const CandidateShardFn& emit) {
-          if (config_.blocking == BlockingScheme::kNone) {
-            StreamFullPairRuns(a.records.size(), b.records.size(),
-                               tuning.shard_size, emit);
-          } else {
-            StreamBlockedPairRuns(index_a, index_b, tuning.shard_size, emit);
+          switch (config_.blocking) {
+            case BlockingScheme::kNone:
+              StreamFullPairRuns(a.records.size(), b.records.size(),
+                                 tuning.shard_size, emit);
+              break;
+            case BlockingScheme::kSoundex:
+              StreamBlockedPairRuns(index_a, index_b, tuning.shard_size, emit);
+              break;
+            case BlockingScheme::kHammingLsh:
+              lsh_b->StreamCandidateRuns(ma, tuning.shard_size, emit);
+              break;
           }
         });
     scored = std::move(streamed.hits);
@@ -203,7 +221,7 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
     out.candidate_pairs = streamed.comparisons;
   } else {
     const ComparisonEngine engine(SimilarityMeasure::kDice);
-    scored = engine.Compare(fa, fb, candidates, config_.match_threshold);
+    scored = engine.CompareMatrices(ma, mb, candidates, config_.match_threshold);
     out.comparisons = engine.last_comparison_count();
     out.pruned_comparisons = engine.last_pruned_count();
     out.candidate_pairs = candidates.size();

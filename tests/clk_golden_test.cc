@@ -17,6 +17,7 @@
 #include "datagen/generator.h"
 #include "datagen/io.h"
 #include "encoding/bloom_filter.h"
+#include "encoding/rbf.h"
 #include "io/ingest.h"
 #include "pipeline/pipeline.h"
 
@@ -130,6 +131,34 @@ uint64_t TokenPositionsDigest(BloomHashScheme scheme) {
   return fnv.value();
 }
 
+/// Record-level Bloom filters over the same databases: per-field filters of
+/// different lengths and hash counts, sampled by weight under the shared
+/// seed.
+uint64_t RbfDigest(BloomHashScheme scheme) {
+  RbfParams params;
+  params.scheme = scheme;
+  if (scheme == BloomHashScheme::kKeyedHmac) params.secret_key = "golden-rbf-key";
+  const std::vector<RbfFieldConfig> fields = {{"first_name", 500, 15, 2.0, 2},
+                                              {"last_name", 500, 15, 2.0, 2},
+                                              {"dob", 300, 10, 1.0, 2},
+                                              {"city", 300, 10, 0.5, 3}};
+  auto encoder = RbfEncoder::Create(params, fields);
+  EXPECT_TRUE(encoder.ok()) << encoder.status().ToString();
+  if (!encoder.ok()) return 0;
+  Fnv64 fnv;
+  for (const Database& db : GoldenDatabases()) {
+    auto rbfs = encoder->EncodeDatabase(db);
+    EXPECT_TRUE(rbfs.ok()) << rbfs.status().ToString();
+    if (!rbfs.ok()) return 0;
+    fnv.Add(rbfs->size());
+    for (const BitVector& rbf : *rbfs) {
+      fnv.Add(rbf.size());
+      fnv.Add(rbf.words().data(), rbf.words().size() * sizeof(uint64_t));
+    }
+  }
+  return fnv.value();
+}
+
 TEST(ClkGoldenTest, DoubleHashingEncodeDatabase) {
   EXPECT_EQ(EncodeDatabaseDigest(BloomHashScheme::kDoubleHashing),
             10288423212832515704ull);
@@ -151,6 +180,14 @@ TEST(ClkGoldenTest, TokenPositions) {
   EXPECT_EQ(TokenPositionsDigest(BloomHashScheme::kDoubleHashing),
             9882549089864682066ull);
   EXPECT_EQ(TokenPositionsDigest(BloomHashScheme::kKeyedHmac), 2322824552408143386ull);
+}
+
+TEST(ClkGoldenTest, DoubleHashingRbf) {
+  EXPECT_EQ(RbfDigest(BloomHashScheme::kDoubleHashing), 4455362801593145105ull);
+}
+
+TEST(ClkGoldenTest, KeyedHmacRbf) {
+  EXPECT_EQ(RbfDigest(BloomHashScheme::kKeyedHmac), 6118965781433719356ull);
 }
 
 }  // namespace

@@ -172,9 +172,10 @@ TEST(OnlineLinkageEngineTest, QueryResolvesTheBatchCluster) {
 }
 
 /// The incremental index must collide exactly like the batch blocker's
-/// string-keyed index at equal geometry and seed.
+/// string-keyed index at equal geometry and seed — for packed bands (<= 64
+/// bits) and for hashed wide ones (> 64 bits) alike.
 TEST(LshBandIndexTest, ProbeMatchesBlockerCollisions) {
-  const size_t tables = 8, bits_per_key = 12;
+  const size_t tables = 8;
   const uint64_t seed = 99;
   Rng data_rng(3);
   std::vector<BitVector> rows;
@@ -182,30 +183,35 @@ TEST(LshBandIndexTest, ProbeMatchesBlockerCollisions) {
   // Add near-duplicates so collisions actually happen.
   for (size_t i = 0; i < 50; ++i) rows.push_back(Perturb(rows[i], 3, data_rng));
 
-  LshBandIndex index(kFilterBits, tables, bits_per_key, seed);
-  for (const BitVector& row : rows) index.Append(row);
+  for (const size_t bits_per_key : {size_t{12}, size_t{64}, size_t{65}, size_t{96}}) {
+    LshBandIndex index(kFilterBits, tables, bits_per_key, seed);
+    for (const BitVector& row : rows) index.Append(row);
 
-  Rng blocker_rng(seed);
-  HammingLshBlocker blocker(kFilterBits, tables, bits_per_key, blocker_rng);
-  const BlockIndex blocks = blocker.BuildIndex(rows);
+    Rng blocker_rng(seed);
+    HammingLshBlocker blocker(kFilterBits, tables, bits_per_key, blocker_rng);
+    const BlockIndex blocks = blocker.BuildIndex(rows);
 
-  std::vector<uint32_t> probed;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    // Reference collision set: union over this row's block keys.
-    std::vector<uint32_t> expected;
-    for (const std::string& key : blocker.Keys(rows[i])) {
-      const auto it = blocks.find(key);
-      if (it != blocks.end()) {
-        expected.insert(expected.end(), it->second.begin(), it->second.end());
+    std::vector<uint32_t> probed;
+    size_t collisions = 0;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      // Reference collision set: union over this row's block keys.
+      std::vector<uint32_t> expected;
+      for (const std::string& key : blocker.Keys(rows[i])) {
+        const auto it = blocks.find(key);
+        if (it != blocks.end()) {
+          expected.insert(expected.end(), it->second.begin(), it->second.end());
+        }
       }
-    }
-    std::sort(expected.begin(), expected.end());
-    expected.erase(std::unique(expected.begin(), expected.end()), expected.end());
+      std::sort(expected.begin(), expected.end());
+      expected.erase(std::unique(expected.begin(), expected.end()), expected.end());
 
-    index.Probe(rows[i], &probed);
-    EXPECT_EQ(probed, expected) << "row " << i;
+      index.Probe(rows[i], &probed);
+      EXPECT_EQ(probed, expected) << bits_per_key << " bits per key, row " << i;
+      collisions += probed.size() - 1;  // every row collides with itself
+    }
+    EXPECT_GT(collisions, 0u) << bits_per_key << " bits per key";
+    EXPECT_GT(index.probed_entries(), 0u);
   }
-  EXPECT_GT(index.probed_entries(), 0u);
 }
 
 /// Appending incrementally must index identically to building fresh.
@@ -224,12 +230,20 @@ TEST(LshBandIndexTest, AppendMatchesRebuild) {
   LshBandIndex fresh(kFilterBits, 6, 10, 5);
   for (const BitVector& row : rows) fresh.Append(row);
 
+  // The bulk constructor indexes a packed matrix in one go.
+  const LshBandIndex bulk(kFilterBits, 6, 10, 5, BitMatrix::FromVectors(rows));
+
   ASSERT_EQ(incremental.size(), fresh.size());
-  std::vector<uint32_t> a, b;
+  ASSERT_EQ(bulk.size(), fresh.size());
+  EXPECT_EQ(incremental.band_checksum(), fresh.band_checksum());
+  EXPECT_EQ(bulk.band_checksum(), fresh.band_checksum());
+  std::vector<uint32_t> a, b, c;
   for (const BitVector& row : rows) {
     incremental.Probe(row, &a);
     fresh.Probe(row, &b);
+    bulk.Probe(row, &c);
     EXPECT_EQ(a, b);
+    EXPECT_EQ(c, b);
   }
 }
 

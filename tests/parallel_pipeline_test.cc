@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "blocking/blocking.h"
+#include "blocking/lsh_index.h"
 #include "common/bit_matrix.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
@@ -162,21 +163,13 @@ TEST(ParallelPipelineTest, TiledExecutionDeterministicAcrossThreadsAndTiles) {
     return rows;
   };
   const BitMatrix ma = BitMatrix::FromVectors(random_filters(300));
-  const BitMatrix mb = BitMatrix::FromVectors(random_filters(300));
 
-  // Skewed blocks: key k holds every record with i % 13 == k plus, for
-  // k == 0, a giant block of half of each side — the shape stealing and
-  // tiling have to keep balanced without reordering output.
-  BlockIndex index_a;
-  BlockIndex index_b;
-  for (uint32_t i = 0; i < ma.num_rows(); ++i) {
-    index_a["k" + std::to_string(i % 13)].push_back(i);
-    if (i < ma.num_rows() / 2) index_a["k0"].push_back(i);
-  }
-  for (uint32_t i = 0; i < mb.num_rows(); ++i) {
-    index_b["k" + std::to_string(i % 13)].push_back(i);
-    if (i >= mb.num_rows() / 2) index_b["k0"].push_back(i);
-  }
+  // Skewed blocks: few, narrow LSH bands. A 5-bit band of 0.3-density
+  // filters puts ~17% of each side into its all-zero bucket, next to many
+  // small buckets — the shape stealing and tiling have to keep balanced
+  // without reordering output.
+  const LshBandIndex index_b(kBits, /*num_tables=*/8, /*bits_per_key=*/5,
+                             /*seed=*/11, BitMatrix::FromVectors(random_filters(300)));
 
   ParallelLinkageOptions reference_options;
   reference_options.num_threads = 1;
@@ -184,7 +177,7 @@ TEST(ParallelPipelineTest, TiledExecutionDeterministicAcrossThreadsAndTiles) {
   // filters: enough hits to make the equality assertions meaningful,
   // rare enough that the prune and threshold paths stay exercised.
   const StreamCompareResult reference = StreamCompareBlocked(
-      SimilarityMeasure::kDice, ma, mb, index_a, index_b, 0.40, reference_options);
+      SimilarityMeasure::kDice, ma, index_b, 0.40, reference_options);
   ASSERT_FALSE(reference.hits.empty());
   const auto reference_clusters = ConnectedComponents([&] {
     std::vector<MatchEdge> edges;
@@ -214,7 +207,7 @@ TEST(ParallelPipelineTest, TiledExecutionDeterministicAcrossThreadsAndTiles) {
       options.shard_size = geometry.shard_size;
       options.b_copy_min_reuse = 1;  // force the copy path wherever legal
       const StreamCompareResult actual = StreamCompareBlocked(
-          SimilarityMeasure::kDice, ma, mb, index_a, index_b, 0.40, options);
+          SimilarityMeasure::kDice, ma, index_b, 0.40, options);
       const std::string label =
           std::string(geometry.label) + " tiles, " + std::to_string(threads) + " threads";
       ASSERT_EQ(reference.hits.size(), actual.hits.size()) << label;
