@@ -3,6 +3,10 @@
 /// extraction, and the Paillier operations that dominate the cryptographic
 /// baseline. These are the per-op costs behind the E3/E4 cost tables.
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "common/bitvector.h"
@@ -37,7 +41,7 @@ BENCHMARK(BM_HmacSha256);
 /// short token costs two compressions.
 void BM_HmacSha256Key(benchmark::State& state) {
   const HmacSha256Key key("key");
-  const std::string token = "first_name\x1eab\x1f7";
+  const std::string token = "first_name\x1e" "ab\x1f" "7";
   for (auto _ : state) {
     benchmark::DoNotOptimize(key.Mac(token));
   }
@@ -59,6 +63,28 @@ void BM_Md5(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Md5);
+
+/// Double hashing's two seeds (MD5 and SHA-1) of `n` short CLK tokens, 16
+/// lanes per kernel call in the build Md5Sha1Seeds picks for this CPU;
+/// items/s is tokens/s, to set against one BM_Md5 plus one BM_Sha1.
+void BM_Md5Sha1Seeds(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<std::string> tokens;
+  for (size_t i = 0; i < n; ++i) {
+    tokens.push_back("first_name\x1e" + std::string(1, static_cast<char>('a' + i % 26)) +
+                     static_cast<char>('a' + i / 26 % 26));
+  }
+  const std::vector<std::string_view> views(tokens.begin(), tokens.end());
+  std::vector<uint64_t> md5(n), sha1(n);
+  for (auto _ : state) {
+    Md5Sha1Seeds(views.data(), n, md5.data(), sha1.data());
+    benchmark::DoNotOptimize(md5.data());
+    benchmark::DoNotOptimize(sha1.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
+}
+BENCHMARK(BM_Md5Sha1Seeds)->Arg(1)->Arg(16)->Arg(256);
 
 void BM_BloomEncodeString(benchmark::State& state) {
   const BloomFilterEncoder encoder(

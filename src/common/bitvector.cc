@@ -51,17 +51,6 @@ BitVector& BitVector::operator=(BitVector&& other) noexcept {
   return *this;
 }
 
-void BitVector::Set(size_t pos, bool value) {
-  assert(pos < num_bits_);
-  const uint64_t mask = uint64_t{1} << (pos % kWordBits);
-  if (value) {
-    words_[pos / kWordBits] |= mask;
-  } else {
-    words_[pos / kWordBits] &= ~mask;
-  }
-  InvalidateCount();
-}
-
 void BitVector::Flip(size_t pos) {
   assert(pos < num_bits_);
   words_[pos / kWordBits] ^= uint64_t{1} << (pos % kWordBits);

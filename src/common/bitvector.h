@@ -2,6 +2,7 @@
 #define PPRL_COMMON_BITVECTOR_H_
 
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -33,8 +34,18 @@ class BitVector {
   /// Whether the vector has zero bits.
   bool empty() const { return num_bits_ == 0; }
 
-  /// Sets bit `pos` to `value`. `pos` must be < size().
-  void Set(size_t pos, bool value = true);
+  /// Sets bit `pos` to `value`. `pos` must be < size(). Inline: encoders
+  /// call it for every hash position of every token.
+  void Set(size_t pos, bool value = true) {
+    assert(pos < num_bits_);
+    const uint64_t mask = uint64_t{1} << (pos % 64);
+    if (value) {
+      words_[pos / 64] |= mask;
+    } else {
+      words_[pos / 64] &= ~mask;
+    }
+    InvalidateCount();
+  }
 
   /// Flips bit `pos`. `pos` must be < size().
   void Flip(size_t pos);

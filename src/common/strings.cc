@@ -1,7 +1,7 @@
 #include "common/strings.h"
 
+#include <algorithm>
 #include <cctype>
-#include <map>
 
 namespace pprl {
 
@@ -57,52 +57,69 @@ std::string StripNonAlnum(std::string_view s) {
   return out;
 }
 
-std::string NormalizeQid(std::string_view s) {
-  const std::string lowered = ToLower(Trim(s));
-  std::string out;
-  out.reserve(lowered.size());
-  bool prev_space = false;
-  for (char c : lowered) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!prev_space && !out.empty()) out += ' ';
-      prev_space = true;
+namespace {
+
+/// ASCII classes of the "C" locale, which the program never leaves: the six
+/// isspace bytes, and A-Z for lower-casing. Bytes >= 0x80 are neither.
+bool IsAsciiSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+char AsciiLower(char c) { return c >= 'A' && c <= 'Z' ? static_cast<char>(c + 32) : c; }
+
+}  // namespace
+
+void NormalizeQidInto(std::string_view s, std::string& out) {
+  out.clear();
+  bool pending_space = false;
+  for (char c : s) {
+    if (IsAsciiSpace(c)) {
+      pending_space = !out.empty();
     } else {
-      out += c;
-      prev_space = false;
+      if (pending_space) out += ' ';
+      pending_space = false;
+      out += AsciiLower(c);
     }
   }
-  if (!out.empty() && out.back() == ' ') out.pop_back();
+}
+
+std::string NormalizeQid(std::string_view s) {
+  std::string out;
+  NormalizeQidInto(s, out);
   return out;
 }
 
-std::vector<std::string> QGrams(std::string_view s, const QGramOptions& options) {
-  const size_t q = options.q == 0 ? 1 : options.q;
-  std::string padded;
-  if (options.pad && q > 1) {
-    padded.assign(q - 1, '_');
-    padded += s;
-    padded.append(q - 1, '_');
-  } else {
-    padded.assign(s);
-  }
-  std::vector<std::string> grams;
-  if (padded.size() < q) {
-    if (!padded.empty()) grams.push_back(padded);
-    return grams;
-  }
-  std::map<std::string, int> seen;
-  grams.reserve(padded.size() - q + 1);
-  for (size_t i = 0; i + q <= padded.size(); ++i) {
-    std::string gram = padded.substr(i, q);
-    if (options.positional_dedup) {
-      const int occurrence = seen[gram]++;
-      if (occurrence > 0) {
-        gram += '#';
-        gram += std::to_string(occurrence);
-      }
+namespace strings_internal {
+
+void CountGramOccurrences(std::string_view text, size_t q,
+                          std::vector<size_t>& occurrences) {
+  const size_t num_grams = text.size() - q + 1;
+  std::vector<size_t> order(num_grams);
+  for (size_t i = 0; i < num_grams; ++i) order[i] = i;
+  // Grams first, position second: a run of equal grams comes out in text
+  // order, so a gram's rank in its run is its occurrence.
+  const auto gram = [&](size_t i) { return text.substr(i, q); };
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    const int c = gram(a).compare(gram(b));
+    return c != 0 ? c < 0 : a < b;
+  });
+  occurrences.assign(num_grams, 0);
+  for (size_t r = 1; r < num_grams; ++r) {
+    if (gram(order[r]) == gram(order[r - 1])) {
+      occurrences[order[r]] = occurrences[order[r - 1]] + 1;
     }
-    grams.push_back(std::move(gram));
   }
+}
+
+}  // namespace strings_internal
+
+std::vector<std::string> QGrams(std::string_view s, const QGramOptions& options) {
+  std::vector<std::string> grams;
+  ForEachQGram(s, options, [&](std::string_view gram, size_t occurrence) {
+    std::string& token = grams.emplace_back(gram);
+    if (occurrence > 0) {
+      token += '#';
+      token += std::to_string(occurrence);
+    }
+  });
   return grams;
 }
 

@@ -1,5 +1,6 @@
 #include "crypto/hash.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -204,6 +205,173 @@ void Sha1Compress(uint32_t state[5], const uint8_t* blocks, size_t num_blocks) {
   }
 }
 
+// ---- 16-lane MD5 + SHA-1 over one-block messages ----------------------------
+//
+// One source, written with GCC vector extensions: a U32x16 holds one 32-bit
+// word of each of the 16 lanes. The body is force-inlined into one function
+// per ISA build below, so the same code becomes 512-bit AVX-512 (where GCC
+// turns the Boolean round functions into vpternlogd and the rotates into
+// vprold), two 256-bit AVX2 halves, or four SSE2 quarters.
+
+typedef uint32_t U32x16 __attribute__((vector_size(64)));
+
+// The helpers below pass U32x16 by value but are always inlined, so the
+// warning that their out-of-line ABI differs between ISA builds is moot. GCC
+// reports it at the end of the file, so it stays off from here on.
+#pragma GCC diagnostic ignored "-Wpsabi"
+
+#define PPRL_LANES_INLINE inline __attribute__((always_inline))
+
+PPRL_LANES_INLINE U32x16 RotL32x16(U32x16 x, int n) { return (x << n) | (x >> (32 - n)); }
+
+PPRL_LANES_INLINE U32x16 ByteSwap32x16(U32x16 x) {
+  return (x << 24) | ((x & 0xff00) << 8) | ((x >> 8) & 0xff00) | (x >> 24);
+}
+
+/// MD5 and SHA-1 of 16 one-block messages. words[k][lane] is word k of the
+/// lane's padded block read little-endian, MD5's order; SHA-1 reads the same
+/// words byte-swapped, except that its 64-bit length field is big-endian:
+/// words 14 and 15 (the length's low and high halves for MD5) trade places
+/// unswapped. state[0..1][lane] get MD5's first two state words and
+/// state[2..3][lane] SHA-1's: the eight digest bytes double hashing uses.
+PPRL_LANES_INLINE void Md5Sha1x16Body(const uint32_t (*words)[kHashLanes],
+                                      uint32_t (*state)[kHashLanes]) {
+  U32x16 m[16];
+  for (int k = 0; k < 16; ++k) std::memcpy(&m[k], words[k], sizeof(U32x16));
+
+  const U32x16 zero = {};
+  U32x16 a = zero + 0x67452301u, b = zero + 0xefcdab89u;
+  U32x16 c = zero + 0x98badcfeu, d = zero + 0x10325476u;
+#pragma GCC unroll 64
+  for (int i = 0; i < 64; ++i) {
+    U32x16 f;
+    int g;
+    if (i < 16) {
+      f = d ^ (b & (c ^ d));
+      g = i;
+    } else if (i < 32) {
+      f = c ^ (d & (b ^ c));
+      g = (5 * i + 1) % 16;
+    } else if (i < 48) {
+      f = b ^ c ^ d;
+      g = (3 * i + 5) % 16;
+    } else {
+      f = c ^ (b | ~d);
+      g = (7 * i) % 16;
+    }
+    const U32x16 t = f + a + kMd5K[i] + m[g];
+    a = d;
+    d = c;
+    c = b;
+    b = b + RotL32x16(t, kMd5Shift[i]);
+  }
+  a += 0x67452301u;
+  b += 0xefcdab89u;
+  std::memcpy(state[0], &a, sizeof(U32x16));
+  std::memcpy(state[1], &b, sizeof(U32x16));
+
+  U32x16 w[16];
+  for (int k = 0; k < 14; ++k) w[k] = ByteSwap32x16(m[k]);
+  w[14] = m[15];
+  w[15] = m[14];
+  a = zero + 0x67452301u;
+  b = zero + 0xefcdab89u;
+  c = zero + 0x98badcfeu;
+  d = zero + 0x10325476u;
+  U32x16 e = zero + 0xc3d2e1f0u;
+#pragma GCC unroll 80
+  for (int i = 0; i < 80; ++i) {
+    if (i >= 16) {
+      w[i & 15] =
+          RotL32x16(w[(i - 3) & 15] ^ w[(i - 8) & 15] ^ w[(i - 14) & 15] ^ w[i & 15], 1);
+    }
+    U32x16 f;
+    uint32_t k;
+    if (i < 20) {
+      f = d ^ (b & (c ^ d));
+      k = 0x5a827999;
+    } else if (i < 40) {
+      f = b ^ c ^ d;
+      k = 0x6ed9eba1;
+    } else if (i < 60) {
+      f = (b & c) | (d & (b | c));
+      k = 0x8f1bbcdc;
+    } else {
+      f = b ^ c ^ d;
+      k = 0xca62c1d6;
+    }
+    const U32x16 t = RotL32x16(a, 5) + f + e + k + w[i & 15];
+    e = d;
+    d = c;
+    c = RotL32x16(b, 30);
+    b = a;
+    a = t;
+  }
+  a += 0x67452301u;
+  b += 0xefcdab89u;
+  std::memcpy(state[2], &a, sizeof(U32x16));
+  std::memcpy(state[3], &b, sizeof(U32x16));
+}
+
+#undef PPRL_LANES_INLINE
+
+using Md5Sha1x16Kernel = void (*)(const uint32_t (*)[kHashLanes],
+                                  uint32_t (*)[kHashLanes]);
+
+void Md5Sha1x16Baseline(const uint32_t (*words)[kHashLanes],
+                        uint32_t (*state)[kHashLanes]) {
+  Md5Sha1x16Body(words, state);
+}
+
+#ifdef PPRL_HAVE_MD5_SHA1_X16_KERNELS
+__attribute__((target("avx2"))) void Md5Sha1x16Avx2(const uint32_t (*words)[kHashLanes],
+                                                     uint32_t (*state)[kHashLanes]) {
+  Md5Sha1x16Body(words, state);
+}
+
+__attribute__((target("avx512f"))) void Md5Sha1x16Avx512(
+    const uint32_t (*words)[kHashLanes], uint32_t (*state)[kHashLanes]) {
+  Md5Sha1x16Body(words, state);
+}
+#endif
+
+/// Packs the one-block messages among `messages` into lanes, 16 per kernel
+/// call, and hashes the rest with the scalar reference.
+void Md5Sha1SeedsWith(Md5Sha1x16Kernel kernel, const std::string_view* messages,
+                      size_t n, uint64_t* md5, uint64_t* sha1) {
+  alignas(64) uint32_t words[16][kHashLanes];
+  alignas(64) uint32_t state[4][kHashLanes];
+  size_t lane_message[kHashLanes];
+  size_t lanes = 0;
+  const auto run = [&] {
+    for (auto& word : words) std::fill(word + lanes, word + kHashLanes, 0u);
+    kernel(words, state);
+    for (size_t l = 0; l < lanes; ++l) {
+      const size_t i = lane_message[l];
+      md5[i] = state[0][l] | (uint64_t{state[1][l]} << 32);
+      sha1[i] = __builtin_bswap32(state[2][l]) |
+                (uint64_t{__builtin_bswap32(state[3][l])} << 32);
+    }
+    lanes = 0;
+  };
+  for (size_t i = 0; i < n; ++i) {
+    const std::string_view message = messages[i];
+    if (message.size() >= 56) {
+      md5[i] = DigestToUint64(Md5(message));
+      sha1[i] = DigestToUint64(Sha1(message));
+      continue;
+    }
+    alignas(16) uint8_t block[64] = {};
+    if (!message.empty()) std::memcpy(block, message.data(), message.size());
+    block[message.size()] = 0x80;
+    StoreLe(block + 56, uint64_t{message.size()} * 8);
+    for (size_t k = 0; k < 16; ++k) words[k][lanes] = LoadLe32(block + 4 * k);
+    lane_message[lanes++] = i;
+    if (lanes == kHashLanes) run();
+  }
+  if (lanes > 0) run();
+}
+
 /// Big-endian digest bytes of a SHA-256 state.
 std::array<uint8_t, 32> Sha256Digest(const std::array<uint32_t, 8>& state) {
   std::array<uint8_t, 32> digest;
@@ -340,6 +508,35 @@ std::array<uint8_t, 20> Sha1(std::string_view data) {
   std::array<uint8_t, 20> digest;
   for (size_t r = 0; r < 5; ++r) StoreBe(&digest[4 * r], state[r]);
   return digest;
+}
+
+void Md5Sha1SeedsBaseline(const std::string_view* messages, size_t n, uint64_t* md5,
+                          uint64_t* sha1) {
+  Md5Sha1SeedsWith(Md5Sha1x16Baseline, messages, n, md5, sha1);
+}
+
+#ifdef PPRL_HAVE_MD5_SHA1_X16_KERNELS
+void Md5Sha1SeedsAvx2(const std::string_view* messages, size_t n, uint64_t* md5,
+                      uint64_t* sha1) {
+  Md5Sha1SeedsWith(Md5Sha1x16Avx2, messages, n, md5, sha1);
+}
+
+void Md5Sha1SeedsAvx512(const std::string_view* messages, size_t n, uint64_t* md5,
+                        uint64_t* sha1) {
+  Md5Sha1SeedsWith(Md5Sha1x16Avx512, messages, n, md5, sha1);
+}
+#endif
+
+void Md5Sha1Seeds(const std::string_view* messages, size_t n, uint64_t* md5,
+                  uint64_t* sha1) {
+#ifdef PPRL_HAVE_MD5_SHA1_X16_KERNELS
+  static const auto seeds = __builtin_cpu_supports("avx512f") ? Md5Sha1SeedsAvx512
+                            : __builtin_cpu_supports("avx2")  ? Md5Sha1SeedsAvx2
+                                                              : Md5Sha1SeedsBaseline;
+  seeds(messages, n, md5, sha1);
+#else
+  Md5Sha1SeedsBaseline(messages, n, md5, sha1);
+#endif
 }
 
 std::array<uint8_t, 32> Sha256(std::string_view data) {

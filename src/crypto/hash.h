@@ -70,6 +70,59 @@ uint64_t DigestToUint64(const std::array<uint8_t, N>& digest) {
   return out;
 }
 
+/// Lanes of the batch MD5+SHA-1 kernel behind Md5Sha1Seeds.
+inline constexpr size_t kHashLanes = 16;
+
+/// The two seeds of double hashing for `n` messages at once:
+/// md5[i] = DigestToUint64(Md5(messages[i])) and
+/// sha1[i] = DigestToUint64(Sha1(messages[i])).
+///
+/// A message under 56 bytes is one padded block. The block is built once per
+/// lane and MD5 and SHA-1 run over 16 lanes together; SHA-1 reads the same
+/// words byte-swapped. Longer messages take the scalar Md5/Sha1, which stay
+/// the reference. Md5Sha1Seeds picks the widest 16-lane kernel build the CPU
+/// runs (AVX-512F, AVX2, else the baseline ISA) once per process, like
+/// Sha256Compress; the builds are exposed so tests can check each.
+void Md5Sha1Seeds(const std::string_view* messages, size_t n, uint64_t* md5,
+                  uint64_t* sha1);
+void Md5Sha1SeedsBaseline(const std::string_view* messages, size_t n, uint64_t* md5,
+                          uint64_t* sha1);
+#if defined(__x86_64__) && defined(__GNUC__)
+#define PPRL_HAVE_MD5_SHA1_X16_KERNELS 1
+/// Requires __builtin_cpu_supports("avx2").
+void Md5Sha1SeedsAvx2(const std::string_view* messages, size_t n, uint64_t* md5,
+                      uint64_t* sha1);
+/// Requires __builtin_cpu_supports("avx512f").
+void Md5Sha1SeedsAvx512(const std::string_view* messages, size_t n, uint64_t* md5,
+                        uint64_t* sha1);
+#endif
+
+/// x mod d for a fixed divisor without a division instruction: the exact
+/// 128-bit-magic remainder of Lemire, Kaser & Kurz (2019),
+/// M = floor((2^128 - 1) / d) + 1 and x mod d = ((M * x mod 2^128) * d) >> 128,
+/// exact for every 64-bit x and d >= 1. Maps hash values to filter positions.
+class ExactRemainder {
+ public:
+  /// `d` must be >= 1 (for d == 1, M wraps to 0 and every remainder is 0).
+  explicit ExactRemainder(uint64_t d)
+      : d_(d), m_(d == 0 ? 0 : ~Uint128{0} / d + 1) {}
+
+  uint64_t operator()(uint64_t x) const {
+    const Uint128 low = m_ * x;
+    const auto lo = static_cast<uint64_t>(low);
+    const auto hi = static_cast<uint64_t>(low >> 64);
+    // Bits 128..191 of low * d, split as hi * d * 2^64 + lo * d.
+    const Uint128 top = static_cast<Uint128>(hi) * d_ +
+                        ((static_cast<Uint128>(lo) * d_) >> 64);
+    return static_cast<uint64_t>(top >> 64);
+  }
+
+ private:
+  __extension__ typedef unsigned __int128 Uint128;
+  uint64_t d_;
+  Uint128 m_;
+};
+
 /// Hex rendering of a digest (lower-case).
 template <size_t N>
 std::string DigestToHex(const std::array<uint8_t, N>& digest) {

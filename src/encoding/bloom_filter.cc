@@ -1,11 +1,51 @@
 #include "encoding/bloom_filter.h"
 
 #include <charconv>
+#include <cstring>
 
 #include "crypto/hash.h"
 #include "encoding/numeric_encoding.h"
 
 namespace pprl {
+
+namespace {
+
+/// A CLK token: the field prefix, the gram and, for the i-th repeat of a
+/// gram (i >= 1), '#' and i in decimal, as QGrams spells it.
+class ClkToken {
+ public:
+  ClkToken(std::string_view prefix, std::string_view gram, size_t occurrence)
+      : prefix_(prefix), gram_(gram) {
+    if (occurrence > 0) {
+      suffix_[0] = '#';
+      suffix_size_ = static_cast<size_t>(
+          std::to_chars(suffix_ + 1, suffix_ + sizeof(suffix_), occurrence).ptr - suffix_);
+    }
+  }
+
+  size_t size() const { return prefix_.size() + gram_.size() + suffix_size_; }
+
+  /// Writes the size() token bytes to `out`.
+  void CopyTo(char* out) const {
+    std::memcpy(out, prefix_.data(), prefix_.size());
+    out += prefix_.size();
+    if (!gram_.empty()) std::memcpy(out, gram_.data(), gram_.size());
+    std::memcpy(out + gram_.size(), suffix_, suffix_size_);
+  }
+
+  void AssignTo(std::string& out) const {
+    out.resize(size());
+    CopyTo(out.data());
+  }
+
+ private:
+  std::string_view prefix_;
+  std::string_view gram_;
+  char suffix_[24];
+  size_t suffix_size_ = 0;
+};
+
+}  // namespace
 
 Status BloomFilterParams::Validate() const {
   if (num_bits == 0) return Status::InvalidArgument("num_bits must be > 0");
@@ -17,19 +57,23 @@ Status BloomFilterParams::Validate() const {
 }
 
 BloomFilterEncoder::BloomFilterEncoder(BloomFilterParams params)
-    : params_(std::move(params)), hmac_(params_.secret_key) {}
+    : params_(std::move(params)), hmac_(params_.secret_key), position_(params_.num_bits) {}
+
+template <typename Sink>
+void BloomFilterEncoder::ForEachDoubleHashPosition(uint64_t h1, uint64_t h2,
+                                                   Sink&& sink) const {
+  for (uint64_t j = 0; j < params_.num_hashes; ++j) {
+    sink(static_cast<uint32_t>(position_(h1 + j * h2)));
+  }
+}
 
 template <typename Sink>
 void BloomFilterEncoder::ForEachPosition(std::string_view token, std::string& scratch,
                                          Sink&& sink) const {
-  const uint64_t l = params_.num_bits;
   switch (params_.scheme) {
     case BloomHashScheme::kDoubleHashing: {
-      const uint64_t h1 = DigestToUint64(Md5(token));
-      const uint64_t h2 = DigestToUint64(Sha1(token));
-      for (size_t j = 0; j < params_.num_hashes; ++j) {
-        sink(static_cast<uint32_t>((h1 + j * h2) % l));
-      }
+      ForEachDoubleHashPosition(DigestToUint64(Md5(token)), DigestToUint64(Sha1(token)),
+                                sink);
       break;
     }
     case BloomHashScheme::kKeyedHmac: {
@@ -42,7 +86,7 @@ void BloomFilterEncoder::ForEachPosition(std::string_view token, std::string& sc
         const auto end = std::to_chars(digits, digits + sizeof(digits), j).ptr;
         scratch.resize(prefix);
         scratch.append(digits, end);
-        sink(static_cast<uint32_t>(DigestToUint64(hmac_.Mac(scratch)) % l));
+        sink(static_cast<uint32_t>(position_(DigestToUint64(hmac_.Mac(scratch)))));
       }
       break;
     }
@@ -79,18 +123,21 @@ ClkEncoder::ClkEncoder(BloomFilterParams params, std::vector<ClkFieldConfig> fie
       fields_(std::move(fields)),
       params_status_(params_.Validate()) {
   field_encoders_.reserve(fields_.size());
+  token_prefixes_.reserve(fields_.size());
   for (const ClkFieldConfig& field : fields_) {
     BloomFilterParams field_params = params_;
     field_params.num_hashes = field.num_hashes;
     field_encoders_.emplace_back(std::move(field_params));
+    // Field-distinct tokens: "jo" in a first name and "jo" in a surname map
+    // to different positions.
+    token_prefixes_.push_back(field.field_name + '\x1e');
   }
 }
 
-Result<BitVector> ClkEncoder::Encode(const Schema& schema, const Record& record) const {
-  PPRL_RETURN_IF_ERROR(params_status_);
-  BitVector clk(params_.num_bits);
-  std::string token;
-  std::string scratch;
+template <typename Fn>
+Status ClkEncoder::ForEachToken(const Schema& schema, const Record& record,
+                                Fn&& fn) const {
+  std::string normalized;
   for (size_t f = 0; f < fields_.size(); ++f) {
     const ClkFieldConfig& field = fields_[f];
     const int idx = schema.FieldIndex(field.field_name);
@@ -103,28 +150,61 @@ Result<BitVector> ClkEncoder::Encode(const Schema& schema, const Record& record)
                                      field.field_name + "'");
     }
     const std::string& raw = record.values[static_cast<size_t>(idx)];
-    std::vector<std::string> tokens;
     if (field.numeric_step > 0) {
       auto numeric_tokens = NumericNeighborhoodTokens(raw, field.numeric_step,
                                                       field.numeric_neighbors);
       if (!numeric_tokens.ok()) return numeric_tokens.status();
-      tokens = std::move(numeric_tokens).value();
+      for (const std::string& token : *numeric_tokens) fn(f, token, size_t{0});
     } else {
       QGramOptions opts;
       opts.q = field.q;
-      tokens = QGrams(NormalizeQid(raw), opts);
-    }
-    // Field-distinct tokens: prefix with the field name so "jo" in a first
-    // name and "jo" in a surname map to different positions.
-    token.assign(field.field_name);
-    token += '\x1e';
-    const size_t prefix = token.size();
-    for (const std::string& gram : tokens) {
-      token.resize(prefix);
-      token += gram;
-      field_encoders_[f].AddToken(token, clk, scratch);
+      NormalizeQidInto(raw, normalized);
+      ForEachQGram(normalized, opts, [&](std::string_view gram, size_t occurrence) {
+        fn(f, gram, occurrence);
+      });
     }
   }
+  return Status::OK();
+}
+
+Result<BitVector> ClkEncoder::Encode(const Schema& schema, const Record& record) const {
+  PPRL_RETURN_IF_ERROR(params_status_);
+  BitVector clk(params_.num_bits);
+  const auto set = [&clk](uint32_t pos) { clk.Set(pos); };
+  // Double hashing: tokens that fit one padded MD5/SHA-1 block (55 bytes)
+  // are written straight into lanes and hashed 16 at a time. Longer tokens,
+  // and every token of the keyed scheme, take the single-token path.
+  const bool batched = params_.scheme == BloomHashScheme::kDoubleHashing;
+  char lane_tokens[kHashLanes][55];
+  std::string_view lanes[kHashLanes];
+  size_t lane_fields[kHashLanes];
+  size_t num_lanes = 0;
+  const auto hash_lanes = [&] {
+    uint64_t h1[kHashLanes];
+    uint64_t h2[kHashLanes];
+    Md5Sha1Seeds(lanes, num_lanes, h1, h2);
+    for (size_t l = 0; l < num_lanes; ++l) {
+      field_encoders_[lane_fields[l]].ForEachDoubleHashPosition(h1[l], h2[l], set);
+    }
+    num_lanes = 0;
+  };
+  std::string token;
+  std::string scratch;
+  const Status status = ForEachToken(
+      schema, record, [&](size_t f, std::string_view gram, size_t occurrence) {
+        const ClkToken parts(token_prefixes_[f], gram, occurrence);
+        if (batched && parts.size() <= sizeof(lane_tokens[0])) {
+          parts.CopyTo(lane_tokens[num_lanes]);
+          lanes[num_lanes] = std::string_view(lane_tokens[num_lanes], parts.size());
+          lane_fields[num_lanes] = f;
+          if (++num_lanes == kHashLanes) hash_lanes();
+          return;
+        }
+        parts.AssignTo(token);
+        field_encoders_[f].AddToken(token, clk, scratch);
+      });
+  PPRL_RETURN_IF_ERROR(status);
+  if (num_lanes > 0) hash_lanes();
   return clk;
 }
 

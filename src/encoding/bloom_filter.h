@@ -65,11 +65,20 @@ class BloomFilterEncoder {
   const BloomFilterParams& params() const { return params_; }
 
  private:
+  friend class ClkEncoder;  // hashes its tokens in batches, then sets positions here
+
   template <typename Sink>
   void ForEachPosition(std::string_view token, std::string& scratch, Sink&& sink) const;
 
+  /// Double hashing's k positions (h1 + j * h2) mod l, j < k: the one
+  /// mapping of seeds to positions, whether the seeds come from one token
+  /// (ForEachPosition) or from a batch (ClkEncoder::Encode).
+  template <typename Sink>
+  void ForEachDoubleHashPosition(uint64_t h1, uint64_t h2, Sink&& sink) const;
+
   BloomFilterParams params_;
   HmacSha256Key hmac_;  ///< keyed by params_.secret_key; used by kKeyedHmac only
+  ExactRemainder position_;  ///< x mod params_.num_bits
 };
 
 /// Per-field configuration of a record-level encoding.
@@ -106,11 +115,19 @@ class ClkEncoder {
   const std::vector<ClkFieldConfig>& fields() const { return fields_; }
 
  private:
+  /// Calls fn(field, gram, occurrence) for every token of `record`: the
+  /// q-grams of each normalised string field, or a numeric field's
+  /// neighbourhood tokens (occurrence 0).
+  template <typename Fn>
+  Status ForEachToken(const Schema& schema, const Record& record, Fn&& fn) const;
+
   BloomFilterParams params_;
   std::vector<ClkFieldConfig> fields_;
   Status params_status_;  ///< params_.Validate(), checked once
   /// One encoder per field (fields_[i].num_hashes hashes), built once.
   std::vector<BloomFilterEncoder> field_encoders_;
+  /// fields_[i].field_name + '\x1e': the prefix that makes tokens field-distinct.
+  std::vector<std::string> token_prefixes_;
 };
 
 }  // namespace pprl

@@ -39,6 +39,14 @@ size_t ShipmentPayloadBytes(const EncodedDatabase& encoded) {
   return encoded.filters.size() * (filter_bytes + 8);
 }
 
+/// A shipment's filters packed at the run's filter length: an owner that
+/// shipped no records becomes a 0 x filter_bits matrix, not a 0-bit one the
+/// compare kernels would reject as a length mismatch.
+BitMatrix PackShipment(const EncodedDatabase& db, size_t filter_bits) {
+  return db.filters.empty() ? BitMatrix(0, filter_bits)
+                            : BitMatrix::FromVectors(db.filters);
+}
+
 }  // namespace
 
 Result<EncodedDatabase> DatabaseOwner::ShipEncodings(Channel& channel,
@@ -217,7 +225,7 @@ Result<PartitionLinkResult> LinkageUnitService::LinkPartition(
   matrices.reserve(databases_.size());
   for (const EncodedDatabase& db : databases_) {
     indexes.push_back(blocker.BuildIndex(db.filters));
-    matrices.push_back(BitMatrix::FromVectors(db.filters));
+    matrices.push_back(PackShipment(db, filter_bits));
   }
   block_span.Stop();
 

@@ -5,7 +5,9 @@
 /// fails here. The digests are FNV-1a-64 over the raw CLK words and ids,
 /// deliberately independent of the hash code under test. The pinned values
 /// come from the straightforward allocating MD5/SHA-1/SHA-256/HMAC code the
-/// current hash core replaced; they must never change.
+/// current hash core replaced, and the edge-case digests from the
+/// one-token-at-a-time encoder the 16-lane batch path replaced; they must
+/// never change.
 
 #include <cstdint>
 #include <cstdio>
@@ -159,6 +161,65 @@ uint64_t RbfDigest(BloomHashScheme scheme) {
   return fnv.value();
 }
 
+/// Hand-built records around the batch encoder's edges, under one schema:
+/// - `v` (q = 1, unpadded): values of 0, 1, 15, 16, 17, 32 and 33 bytes give
+///   records of exactly that many tokens (one 16-lane group, partial and
+///   spilling groups), with repeats that take '#' suffixes;
+/// - 52- and 53-byte field names: their tokens are 55 bytes (the longest
+///   one-block message) and 56 bytes (the shortest two-block one), and with
+///   a '#' suffix 57 and more;
+/// - `wide` (q = 60): 62-byte tokens, all on the scalar path;
+/// - `age`, a numeric field with neighbourhood tokens.
+uint64_t EdgeCaseDigest(BloomHashScheme scheme) {
+  const std::string long_name(52, 'n');
+  const std::string longer_name(53, 'm');
+  Schema schema;
+  for (const char* name : {"v", "wide", "age"}) schema.fields.push_back({name});
+  schema.fields.push_back({long_name});
+  schema.fields.push_back({longer_name});
+  std::vector<ClkFieldConfig> all_fields(5);
+  all_fields[0].field_name = "v";
+  all_fields[0].q = 1;
+  all_fields[0].num_hashes = 7;
+  all_fields[1].field_name = "wide";
+  all_fields[1].q = 60;
+  all_fields[1].num_hashes = 3;
+  all_fields[2].field_name = "age";
+  all_fields[2].numeric_step = 1;
+  all_fields[2].numeric_neighbors = 2;
+  all_fields[2].num_hashes = 5;
+  all_fields[3].field_name = long_name;
+  all_fields[3].num_hashes = 4;
+  all_fields[4].field_name = longer_name;
+  all_fields[4].num_hashes = 6;
+
+  std::vector<std::vector<std::string>> rows;
+  for (size_t len : {0, 1, 15, 16, 17, 32, 33}) {
+    std::string value;
+    for (size_t i = 0; i < len; ++i) value += static_cast<char>('a' + (i * i) % 5);
+    rows.push_back({value, "", "40", "", "jo"});
+  }
+  rows.push_back({"Zz", std::string(70, 'w') + "  X", "-3.5", "aaaaaaaaaaaaa", "ee"});
+  rows.push_back({" ", "short", "1e3", "Anna  Maria", "Anna  Maria"});
+
+  Fnv64 fnv;
+  // Each field alone (so the token counts above are exact), then all five.
+  for (size_t f = 0; f <= all_fields.size(); ++f) {
+    std::vector<ClkFieldConfig> fields =
+        f < all_fields.size() ? std::vector<ClkFieldConfig>{all_fields[f]} : all_fields;
+    const ClkEncoder encoder(SchemeParams(scheme), fields);
+    for (const auto& row : rows) {
+      Record record;
+      record.values = row;
+      auto clk = encoder.Encode(schema, record);
+      EXPECT_TRUE(clk.ok()) << clk.status().ToString();
+      if (!clk.ok()) return 0;
+      fnv.Add(clk->words().data(), clk->words().size() * sizeof(uint64_t));
+    }
+  }
+  return fnv.value();
+}
+
 TEST(ClkGoldenTest, DoubleHashingEncodeDatabase) {
   EXPECT_EQ(EncodeDatabaseDigest(BloomHashScheme::kDoubleHashing),
             10288423212832515704ull);
@@ -180,6 +241,14 @@ TEST(ClkGoldenTest, TokenPositions) {
   EXPECT_EQ(TokenPositionsDigest(BloomHashScheme::kDoubleHashing),
             9882549089864682066ull);
   EXPECT_EQ(TokenPositionsDigest(BloomHashScheme::kKeyedHmac), 2322824552408143386ull);
+}
+
+TEST(ClkGoldenTest, DoubleHashingEdgeCases) {
+  EXPECT_EQ(EdgeCaseDigest(BloomHashScheme::kDoubleHashing), 18009710077277807353ull);
+}
+
+TEST(ClkGoldenTest, KeyedHmacEdgeCases) {
+  EXPECT_EQ(EdgeCaseDigest(BloomHashScheme::kKeyedHmac), 38464446788605007ull);
 }
 
 TEST(ClkGoldenTest, DoubleHashingRbf) {

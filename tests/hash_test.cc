@@ -182,6 +182,93 @@ TEST(Sha256KernelTest, DispatchedKernelMatchesScalar) {
   EXPECT_TRUE(std::equal(scalar, scalar + 8, dispatched));
 }
 
+using SeedsFn = void (*)(const std::string_view*, size_t, uint64_t*, uint64_t*);
+
+/// Checks one build of the batch MD5+SHA-1 seeds against the scalar
+/// reference: every message length 0-130 (one block below 56 bytes, the
+/// scalar path above), every batch size 1-33 (partial, full and spilling
+/// lane groups), and the RFC 1321 / FIPS 180 vectors.
+void ExpectSeedsMatchScalar(SeedsFn seeds) {
+  Rng rng(1321);
+  std::vector<std::string> messages;
+  for (size_t len = 0; len <= 130; ++len) messages.push_back(RandomBytes(rng, len));
+  for (const char* vector :
+       {"", "abc", "message digest", "abcdefghijklmnopqrstuvwxyz",
+        "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"}) {
+    messages.emplace_back(vector);
+  }
+  auto check = [&](const std::vector<std::string_view>& batch) {
+    std::vector<uint64_t> md5(batch.size()), sha1(batch.size());
+    seeds(batch.data(), batch.size(), md5.data(), sha1.data());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_EQ(md5[i], DigestToUint64(Md5(batch[i])))
+          << "MD5, message of " << batch[i].size() << " bytes, lane " << i << " of "
+          << batch.size();
+      ASSERT_EQ(sha1[i], DigestToUint64(Sha1(batch[i])))
+          << "SHA-1, message of " << batch[i].size() << " bytes, lane " << i << " of "
+          << batch.size();
+    }
+  };
+  check(std::vector<std::string_view>(messages.begin(), messages.end()));
+  for (size_t batch_size = 1; batch_size <= 33; ++batch_size) {
+    std::vector<std::string_view> batch;
+    for (size_t i = 0; i < batch_size; ++i) {
+      batch.push_back(messages[rng.NextUint64() % messages.size()]);
+    }
+    check(batch);
+  }
+  // The reference vectors' digests themselves, not only agreement.
+  const std::string_view abc = "abc";
+  uint64_t md5 = 0, sha1 = 0;
+  seeds(&abc, 1, &md5, &sha1);
+  EXPECT_EQ(md5, 0xb04fd23c98500190ull);   // 90 01 50 98 3c d2 4f b0
+  EXPECT_EQ(sha1, 0x6a810647363e99a9ull);  // a9 99 3e 36 47 06 81 6a
+}
+
+TEST(Md5Sha1SeedsTest, BaselineBuildMatchesScalar) {
+  ExpectSeedsMatchScalar(Md5Sha1SeedsBaseline);
+}
+
+TEST(Md5Sha1SeedsTest, Avx2BuildMatchesScalar) {
+#ifdef PPRL_HAVE_MD5_SHA1_X16_KERNELS
+  if (!__builtin_cpu_supports("avx2")) GTEST_SKIP() << "CPU lacks AVX2";
+  ExpectSeedsMatchScalar(Md5Sha1SeedsAvx2);
+#else
+  GTEST_SKIP() << "no AVX2 build on this architecture";
+#endif
+}
+
+TEST(Md5Sha1SeedsTest, Avx512BuildMatchesScalar) {
+#ifdef PPRL_HAVE_MD5_SHA1_X16_KERNELS
+  if (!__builtin_cpu_supports("avx512f")) GTEST_SKIP() << "CPU lacks AVX-512F";
+  ExpectSeedsMatchScalar(Md5Sha1SeedsAvx512);
+#else
+  GTEST_SKIP() << "no AVX-512 build on this architecture";
+#endif
+}
+
+TEST(Md5Sha1SeedsTest, DispatchedBuildMatchesScalar) {
+  ExpectSeedsMatchScalar(Md5Sha1Seeds);
+}
+
+TEST(ExactRemainderTest, MatchesModuloOperator) {
+  Rng rng(2019);
+  for (uint64_t d : {uint64_t{1}, uint64_t{2}, uint64_t{3}, uint64_t{1000}, uint64_t{1024},
+                     (uint64_t{1} << 31) - 1, (uint64_t{1} << 32) + 15,
+                     (uint64_t{1} << 63) + 1, ~uint64_t{0}}) {
+    const ExactRemainder remainder(d);
+    std::vector<uint64_t> xs = {0,          1,          d - 1,          d,
+                                d + 1,      2 * d - 1,  2 * d,          ~uint64_t{0},
+                                ~uint64_t{0} - 1,       uint64_t{1} << 63,
+                                (uint64_t{1} << 63) - 1, ~uint64_t{0} - d};
+    for (int i = 0; i < 20000; ++i) xs.push_back(rng.NextUint64());
+    for (int i = 0; i < 1000; ++i) xs.push_back(rng.NextUint64() >> (rng.NextUint64() % 64));
+    for (uint64_t x : xs) {
+      ASSERT_EQ(remainder(x), x % d) << x << " mod " << d;
+    }
+  }
+}
+
 TEST(DigestHelpersTest, DigestToUint64LittleEndian) {
   std::array<uint8_t, 8> digest = {1, 0, 0, 0, 0, 0, 0, 0};
   EXPECT_EQ(DigestToUint64(digest), 1u);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "datagen/generator.h"
+#include "linkage/distributed.h"
 #include "pipeline/pipeline.h"
 
 namespace pprl {
@@ -144,6 +145,67 @@ TEST_F(PartyTest, StarVsComponentsToggle) {
   ASSERT_TRUE(star_result.ok() && comp_result.ok());
   EXPECT_EQ(star_result->edges.size(), comp_result->edges.size());
   EXPECT_GE(star_result->clusters.size(), comp_result->clusters.size());
+}
+
+/// An owner that ships zero records between two that do not: every
+/// partition of a 1- and 2-worker ring packs the empty shipment at the run's
+/// filter length (never as a 0-bit matrix, which the compare kernels
+/// reject), and the merged ring equals Link() edge for edge and counter for
+/// counter.
+TEST_F(PartyTest, EmptyMiddleShipmentPartitionsMatchLink) {
+  DataGenerator gen(GeneratorConfig{});
+  LinkageScenarioConfig scenario;
+  scenario.records_per_database = 120;
+  scenario.num_databases = 2;
+  auto dbs = gen.GenerateScenario(scenario);
+  ASSERT_TRUE(dbs.ok());
+  const ClkEncoder encoder = SharedEncoder();
+  Channel channel;
+  LinkageUnitService lu("lu");
+  std::vector<EncodedDatabase> shipments;
+  for (size_t d = 0; d < 2; ++d) {
+    DatabaseOwner owner("p" + std::to_string(d), std::move((*dbs)[d]));
+    ASSERT_TRUE(owner.Encode(encoder).ok());
+    shipments.push_back(std::move(owner.ShipEncodings(channel, "lu")).value());
+  }
+  ASSERT_TRUE(lu.Receive("first", shipments[0]).ok());
+  ASSERT_TRUE(lu.Receive("empty", EncodedDatabase{}).ok());
+  ASSERT_TRUE(lu.Receive("last", shipments[1]).ok());
+
+  MultiPartyLinkageOptions options;
+  options.dice_threshold = 0.8;
+  auto linked = lu.Link(options);
+  ASSERT_TRUE(linked.ok()) << linked.status().ToString();
+  ASSERT_FALSE(linked->edges.empty());
+
+  for (uint32_t num_workers : {1u, 2u}) {
+    std::vector<WorkerPartitionResult> parts;
+    for (uint32_t w = 0; w < num_workers; ++w) {
+      PartitionSpec spec;
+      spec.worker_index = w;
+      spec.num_workers = num_workers;
+      auto part = lu.LinkPartition(options, spec);
+      ASSERT_TRUE(part.ok()) << part.status().ToString();
+      WorkerPartitionResult gathered;
+      gathered.worker_index = w;
+      gathered.comparisons = part->comparisons;
+      gathered.candidate_pairs = part->candidate_pairs;
+      gathered.pruned_comparisons = part->pruned_comparisons;
+      gathered.edges = std::move(part->edges);
+      parts.push_back(std::move(gathered));
+    }
+    const MergedPartitions merged = MergeWorkerPartitions(std::move(parts));
+    EXPECT_EQ(merged.comparisons, linked->comparisons) << num_workers << " workers";
+    EXPECT_EQ(merged.candidate_pairs, linked->candidate_pairs) << num_workers;
+    EXPECT_EQ(merged.pruned_comparisons, linked->pruned_comparisons) << num_workers;
+    ASSERT_EQ(merged.edges.size(), linked->edges.size()) << num_workers << " workers";
+    for (size_t i = 0; i < merged.edges.size(); ++i) {
+      const MatchEdge& got = merged.edges[i];
+      const MatchEdge& want = linked->edges[i];
+      EXPECT_TRUE(got.x == want.x && got.y == want.y && got.score == want.score)
+          << "edge " << i << " with " << num_workers << " workers";
+    }
+  }
 }
 
 }  // namespace
